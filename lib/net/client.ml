@@ -10,7 +10,11 @@ let connect ?max_payload address =
     | Server.Tcp (host, port) ->
       let addr = Conn.resolve host in
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (addr, port))
+      (try
+         (* A pipelined request must leave when it is sent, not wait
+            behind the ack of the one before it (Nagle). *)
+         Unix.setsockopt fd Unix.TCP_NODELAY true;
+         Unix.connect fd (Unix.ADDR_INET (addr, port))
        with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
       fd
     | Server.Unix_sock path ->

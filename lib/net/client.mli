@@ -9,7 +9,9 @@
 type t
 
 val connect : ?max_payload:int -> Server.address -> t
-(** @raise Unix.Unix_error when the server cannot be reached. *)
+(** TCP connections set [TCP_NODELAY], so pipelined requests leave as
+    they are sent.  @raise Unix.Unix_error when the server cannot be
+    reached. *)
 
 val close : t -> unit
 

@@ -1,17 +1,52 @@
-(* Framed socket IO.  The read path keeps one growable buffer per
-   connection: bytes accumulate at the front, [Frame.decode] is retried
-   after every read, and a decoded frame's bytes are shifted out.  The
-   buffer never grows past the frame size limit plus header, so a slow
-   loris peer cannot balloon memory. *)
+(* Framed socket IO.  The read path is an [Inbox]: bytes accumulate at
+   the front of one growable buffer, [Frame.decode] is retried on
+   demand, and a decoded frame's bytes are shifted out.  The blocking
+   [read_frame] below and the server's non-blocking event loop share it,
+   so frame reassembly exists once. *)
+
+module Inbox = struct
+  type t = {
+    max_payload : int;
+    mutable buf : Bytes.t;
+    mutable len : int; (* valid bytes at offset 0 *)
+  }
+
+  let create ?(max_payload = Frame.default_max_payload) () =
+    { max_payload; buf = Bytes.create 4096; len = 0 }
+
+  let buffered t = t.len
+
+  let pop t =
+    match Frame.decode ~max_payload:t.max_payload t.buf ~off:0 ~len:t.len with
+    | Frame.Frame (frame, consumed) ->
+      Bytes.blit t.buf consumed t.buf 0 (t.len - consumed);
+      t.len <- t.len - consumed;
+      Ok (Some frame)
+    | Frame.Need_more -> Ok None
+    | Frame.Malformed msg -> Error msg
+
+  (* A full buffer that still decodes as [Need_more] holds a prefix of
+     one frame no larger than the payload bound, so doubling up to that
+     bound always leaves room. *)
+  let fill t read =
+    if t.len = Bytes.length t.buf then begin
+      let cap = min (4 + t.max_payload) (max 4096 (2 * Bytes.length t.buf)) in
+      if cap <= t.len then invalid_arg "Conn.Inbox.fill: pop ready frames first";
+      let nbuf = Bytes.create cap in
+      Bytes.blit t.buf 0 nbuf 0 t.len;
+      t.buf <- nbuf
+    end;
+    let n = read t.buf t.len (Bytes.length t.buf - t.len) in
+    t.len <- t.len + n;
+    n
+end
 
 type t = {
   fd : Unix.file_descr;
-  max_payload : int;
-  mutable rbuf : Bytes.t;
-  mutable rlen : int; (* valid bytes at offset 0 *)
+  inbox : Inbox.t;
   wmutex : Mutex.t;
-  smutex : Mutex.t; (* guards [state] transitions *)
-  mutable state : [ `Open | `Shutdown | `Closed ];
+  cmutex : Mutex.t; (* guards [closed] *)
+  mutable closed : bool;
 }
 
 type read_error =
@@ -23,9 +58,12 @@ type read_error =
    (server acks to a dead client, client requests to a crashed server)
    treats write failure as connection death. *)
 let ignore_sigpipe =
-  lazy
-    (if not Sys.win32 then
-       try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Sys_error _ -> ())
+  let once =
+    lazy
+      (if not Sys.win32 then
+         try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Sys_error _ -> ())
+  in
+  fun () -> Lazy.force once
 
 (* One resolver for server bind and client connect.  [gethostbyname] is
    a trap here: beyond being obsolete, an entry with an empty address
@@ -50,65 +88,37 @@ let resolve host =
      | Some addr -> addr
      | None -> failwith (Printf.sprintf "cannot resolve host %S" host))
 
-let of_fd ?(max_payload = Frame.default_max_payload) fd =
-  Lazy.force ignore_sigpipe;
+let of_fd ?max_payload fd =
+  ignore_sigpipe ();
   {
     fd;
-    max_payload;
-    rbuf = Bytes.create 4096;
-    rlen = 0;
+    inbox = Inbox.create ?max_payload ();
     wmutex = Mutex.create ();
-    smutex = Mutex.create ();
-    state = `Open;
+    cmutex = Mutex.create ();
+    closed = false;
   }
 
-let shutdown t =
-  Mutex.lock t.smutex;
-  if t.state = `Open then begin
-    t.state <- `Shutdown;
-    (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  end;
-  Mutex.unlock t.smutex
-
 let close t =
-  Mutex.lock t.smutex;
-  if t.state <> `Closed then begin
-    t.state <- `Closed;
+  Mutex.lock t.cmutex;
+  if not t.closed then begin
+    t.closed <- true;
     (try Unix.close t.fd with Unix.Unix_error _ -> ())
   end;
-  Mutex.unlock t.smutex
-
-let grow t =
-  if t.rlen = Bytes.length t.rbuf then begin
-    let cap = min (4 + t.max_payload) (max 4096 (2 * Bytes.length t.rbuf)) in
-    if cap > Bytes.length t.rbuf then begin
-      let nbuf = Bytes.create cap in
-      Bytes.blit t.rbuf 0 nbuf 0 t.rlen;
-      t.rbuf <- nbuf
-    end
-  end
+  Mutex.unlock t.cmutex
 
 let rec read_frame t =
-  match Frame.decode ~max_payload:t.max_payload t.rbuf ~off:0 ~len:t.rlen with
-  | Frame.Frame (frame, consumed) ->
-    Bytes.blit t.rbuf consumed t.rbuf 0 (t.rlen - consumed);
-    t.rlen <- t.rlen - consumed;
-    Ok frame
-  | Frame.Malformed msg -> Error (Protocol msg)
-  | Frame.Need_more ->
-    grow t;
+  match Inbox.pop t.inbox with
+  | Ok (Some frame) -> Ok frame
+  | Error msg -> Error (Protocol msg)
+  | Ok None ->
     let n =
-      try Unix.read t.fd t.rbuf t.rlen (Bytes.length t.rbuf - t.rlen) with
+      try Inbox.fill t.inbox (Unix.read t.fd) with
       | Unix.Unix_error (Unix.EINTR, _, _) -> -1 (* retry *)
       | Unix.Unix_error _ -> 0 (* reset/closed: treat as EOF *)
     in
-    if n < 0 then read_frame t
-    else if n = 0 then
-      if t.rlen = 0 then Error Closed else Error (Protocol "eof inside a frame")
-    else begin
-      t.rlen <- t.rlen + n;
-      read_frame t
-    end
+    if n <> 0 then read_frame t
+    else if Inbox.buffered t.inbox = 0 then Error Closed
+    else Error (Protocol "eof inside a frame")
 
 let write_frame t frame =
   let data = Bytes.unsafe_of_string (Frame.encode frame) in

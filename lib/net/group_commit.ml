@@ -1,5 +1,5 @@
 (* Group commit: stage acks, sync once, release.  Single-consumer by
-   design (the engine thread), but the telemetry counters are read by
+   design (the server loop), but the telemetry counters are read by
    stats snapshots from other threads, so they sit behind a mutex. *)
 
 type t = {

@@ -1,30 +1,33 @@
 (** The network front door: a socket server over one engine.
 
-    Thread shape: a single acceptor thread; per connection one reader
-    thread and one writer thread; one engine thread that owns the
-    [Quantum.Qdb.t].  Every request frame crosses exactly one bounded
-    {!Par.Mailbox} (many session readers, one engine consumer), the
-    engine drains it in batches with {!Par.Mailbox.recv_batch}, and
-    each batch's durable effects hit the WAL under a single
-    {!Group_commit} fsync before any acknowledgment frame is released.
+    Thread shape: one event-loop thread owns the listener, every
+    session socket, the request queue and the [Quantum.Qdb.t]; the
+    thread count does not grow with the number of sessions.  Each turn
+    of the loop waits in [Unix.select] on the listener, every session
+    with window room and every session with unsent replies; reads what
+    is ready without blocking and decodes it ({!Conn.Inbox}); runs up
+    to [max_batch] decoded requests through the engine under one
+    {!Group_commit} fsync, which happens before any of their replies is
+    queued; then makes one non-blocking write per session of everything
+    it owes.  Accepted TCP sockets set [TCP_NODELAY], so a reply leaves
+    in the turn that produced it instead of waiting behind the peer's
+    delayed ack.
 
     Backpressure is layered: each session holds at most
-    [session_buffer] unacknowledged requests (its reader stops pulling
-    bytes off the socket until acks drain, so a flooding client stalls
-    itself, not the engine), and the engine mailbox bounds total queued
-    work (a full engine blocks the readers feeding it).  Because every
-    in-flight request — including the inline-handled [Hello] — holds a
-    reserved slot in its session's response mailbox until its response
-    reaches the socket, the engine's acknowledgment sends never block:
-    a stalled reader on one connection cannot delay another session's
-    acks, no matter what frame sequence the peer sends. *)
+    [session_buffer] decoded requests whose reply has not yet left the
+    process (including [Hello]); a session at that bound is not read,
+    so a flooding or stalled client stalls only itself.  At most
+    [engine_queue] decoded requests wait for the engine across all
+    sessions; while the queue is full no session is read.  A graceful
+    {!stop} answers every request already decoded; a failed engine
+    drops every connection without sending the acks it had staged. *)
 
 type config = {
   engine_config : Quantum.Qdb.config;
   domains : int;  (** Par pool size for solver fan-out; <= 1 runs inline *)
   max_batch : int;  (** group-commit batch cap per engine drain *)
   session_buffer : int;  (** per-session in-flight (unacked) request cap *)
-  engine_queue : int;  (** central request mailbox capacity *)
+  engine_queue : int;  (** decoded requests awaiting the engine, all sessions *)
   max_payload : int;  (** per-frame byte bound, see {!Frame.decode} *)
 }
 
@@ -54,21 +57,25 @@ val qdb : t -> Quantum.Qdb.t
 val registry : t -> Obs.Registry.t
 (** Engine registry plus [net.*] counters and latency histograms
     ([net.accept.latency], [net.reject.latency], [net.request.latency],
-    [net.group_commit.*], session/frame counters). *)
+    [net.group_commit.*], session/frame counters, and the
+    [net.engine.queued_max] gauge: the most decoded requests ever
+    waiting for the engine at once). *)
 
 val group_commit : t -> Group_commit.t
 
 val failure : t -> exn option
-(** Set when the engine thread died on an unrecoverable exception (an
+(** Set when the loop died on an unrecoverable exception (an
     injected crash, [Quantum.Qdb.Inconsistent]); the server is torn down as if
     the process were lost: connections drop, nothing unsynced was ever
     acknowledged. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, let the engine drain and flush
-    every queued request, acknowledge them, then close every session.
-    Idempotent; safe after an engine failure (joins what remains). *)
+(** Graceful shutdown: stop accepting and reading, let the engine run
+    and flush every decoded request, write their replies (waiting at
+    most a second for a peer that does not read), then close every
+    session.  Idempotent; safe after an engine failure (joins what
+    remains). *)
 
 val wait : t -> unit
-(** Block until the engine thread exits (a {!stop} from another thread,
+(** Block until the loop thread exits (a {!stop} from another thread,
     or an engine failure). *)

@@ -152,6 +152,11 @@ echo "== server regression gate =="
 # noisy, while the structural checks above are exact.
 dune exec bin/qdb_cli.exe -- bench diff BENCH_server.json results/BENCH_server.json --gate 400
 
+echo "== front-door benchmark smoke =="
+# Runs: python3 qbench/run.py --workload front_door --seed 1 --seconds 8 --trace 0
+# and fails unless its last line has "correct": true and "failed": 0.
+bash scripts/front_door_smoke.sh 1 8
+
 echo "== telemetry check =="
 if [ ! -f results/metrics.json ]; then
   echo "FAIL: bench run did not write results/metrics.json" >&2

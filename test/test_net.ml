@@ -99,6 +99,39 @@ let prop_garbage_total =
         consumed <= String.length s && String.length (Frame.encode frame) = consumed
       | Frame.Need_more | Frame.Malformed _ -> true)
 
+(* The one reassembly path both the blocking reader and the server
+   loop use: whatever sizes the socket hands the bytes over in, the same
+   frames come out in order and nothing is left behind. *)
+let prop_inbox_reassembles =
+  QCheck.Test.make ~name:"inbox reassembles frames from any byte split" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 8) frame_arb) (list_of_size Gen.(1 -- 16) (int_range 1 600)))
+    (fun (frames, cuts) ->
+      let wire = String.concat "" (List.map Frame.encode frames) in
+      let inbox = Net.Conn.Inbox.create () in
+      let popped = ref [] in
+      let rec drain () =
+        match Net.Conn.Inbox.pop inbox with
+        | Ok (Some frame) -> popped := frame :: !popped; drain ()
+        | Ok None -> ()
+        | Error msg -> QCheck.Test.fail_reportf "valid bytes rejected: %s" msg
+      in
+      let pos = ref 0 and cuts = ref cuts in
+      while !pos < String.length wire do
+        let step = match !cuts with c :: rest -> cuts := rest @ [ c ]; c | [] -> 1 in
+        let stop = min (String.length wire) (!pos + step) in
+        while !pos < stop do
+          drain ();
+          ignore
+            (Net.Conn.Inbox.fill inbox (fun buf off len ->
+                 let n = min len (stop - !pos) in
+                 Bytes.blit_string wire !pos buf off n;
+                 pos := !pos + n;
+                 n))
+        done
+      done;
+      drain ();
+      List.rev !popped = frames && Net.Conn.Inbox.buffered inbox = 0)
+
 let header payload_len tag =
   let b = Bytes.create 5 in
   Bytes.set_int32_be b 0 (Int32.of_int payload_len);
@@ -356,22 +389,116 @@ let test_hello_flood_isolated () =
   Server.stop server;
   Alcotest.(check bool) "no failure recorded" true (Server.failure server = None)
 
-(* -- Gate: the closable session window --------------------------------------- *)
+(* -- The engine queue bounds decoded work across sessions ------------------- *)
 
-let test_gate_close_wakes_blocked () =
-  let gate = Net.Gate.create 1 in
-  Alcotest.(check bool) "first acquire succeeds" true (Net.Gate.acquire gate);
-  let woke = ref None in
-  let parked = Thread.create (fun () -> woke := Some (Net.Gate.acquire gate)) () in
-  Thread.delay 0.05; (* let it park on the empty gate *)
-  Alcotest.(check (option bool)) "still parked" None !woke;
-  Net.Gate.close gate;
-  Thread.join parked;
-  Alcotest.(check (option bool)) "woken with failure" (Some false) !woke;
-  Alcotest.(check bool) "acquire after close fails" false (Net.Gate.acquire gate);
-  (* A writer finishing after teardown must not crash. *)
-  Net.Gate.release gate;
-  Alcotest.(check bool) "still closed after release" false (Net.Gate.acquire gate)
+let test_engine_queue_bound () =
+  let store = Flights.fresh_store geometry in
+  let config = { Server.default_config with Server.engine_queue = 2; max_batch = 4 } in
+  let server = Server.start ~config ~store (Server.Tcp ("127.0.0.1", 0)) in
+  let addr = Server.address server in
+  let per_session = 40 in
+  let tag c i = Printf.sprintf "%d-%d" c i in
+  let replies = Array.make 4 [] in
+  let drive c =
+    let client = Client.connect addr in
+    for i = 0 to per_session - 1 do
+      ignore (Client.send client (Frame.Ping (tag c i)))
+    done;
+    replies.(c) <-
+      List.init per_session (fun _ ->
+          match Client.recv client with
+          | Ok frame -> Frame.to_string frame
+          | Error _ -> "lost");
+    Client.close client
+  in
+  List.iter Thread.join (List.init 4 (fun c -> Thread.create drive c));
+  Array.iteri
+    (fun c got ->
+      Alcotest.(check (list string)) (Printf.sprintf "session %d replies in order" c)
+        (List.init per_session (fun i -> Frame.to_string (Frame.Pong (tag c i))))
+        got)
+    replies;
+  let queued_max =
+    match Obs.Registry.find (Server.registry server) "net.engine.queued_max" with
+    | Some (Obs.Registry.Gauge g) -> g
+    | _ -> Alcotest.fail "net.engine.queued_max gauge missing"
+  in
+  Server.stop server;
+  Alcotest.(check bool) "requests did queue" true (queued_max >= 1.);
+  Alcotest.(check bool) (Printf.sprintf "queued_max %.0f <= 2" queued_max) true (queued_max <= 2.)
+
+(* -- Replies are not held behind the peer's delayed ack --------------------- *)
+
+(* Open loop on one session: a ping every 5 ms, replies read on another
+   thread.  A pipelined burst goes first: its replies leave in more than
+   one write (the window is 16), so one goes out while an earlier one is
+   still unacknowledged — the state in which Nagle holds every later
+   reply until the next request arrives, one send period later.  Round
+   trips before the burst take the client out of quick-ack mode, in
+   which it would acknowledge the early replies at once. *)
+let test_reply_not_held () =
+  let store = Flights.fresh_store geometry in
+  let server = Server.start ~store (Server.Tcp ("127.0.0.1", 0)) in
+  let client = Client.connect (Server.address server) in
+  for i = 0 to 31 do
+    ignore (Client.ping client (string_of_int i))
+  done;
+  let burst = 2 * Server.default_config.Server.session_buffer and n = 100 in
+  let sent_at = Array.make (burst + n) 0L and rtt = Array.make (burst + n) infinity in
+  let receiver =
+    Thread.create
+      (fun () ->
+        for i = 0 to burst + n - 1 do
+          match Client.recv client with
+          | Ok (Frame.Pong _) -> rtt.(i) <- Obs.Mclock.elapsed_s sent_at.(i) *. 1e3
+          | Ok _ | Error _ -> ()
+        done)
+      ()
+  in
+  for i = 0 to burst + n - 1 do
+    if i >= burst then Thread.delay 0.005;
+    sent_at.(i) <- Obs.Mclock.now_ns ();
+    ignore (Client.send client (Frame.Ping (string_of_int i)))
+  done;
+  Thread.join receiver;
+  Client.close client;
+  Server.stop server;
+  let spaced = Array.sub rtt burst n in
+  Array.sort compare spaced;
+  let median = spaced.(n / 2) in
+  Alcotest.(check bool) (Printf.sprintf "median round trip %.3f ms < 2.5 ms" median) true (median < 2.5)
+
+(* -- A peer that will not read cannot hold up a graceful stop ---------------- *)
+
+let test_stop_bounded_by_stalled_peer () =
+  let store = Flights.fresh_store geometry in
+  let max_payload = 4 lsl 20 in
+  let config = { Server.default_config with Server.max_payload } in
+  let server = Server.start ~config ~store (Server.Tcp ("127.0.0.1", 0)) in
+  let client = Client.connect ~max_payload (Server.address server) in
+  (* 32 MiB of echoes: more than the socket buffers hold, so replies are
+     still owed when the stop begins and the peer never reads them. *)
+  let payload i = String.make (2 lsl 20) (Char.chr (Char.code 'a' + i)) in
+  for i = 0 to 15 do
+    ignore (Client.send client (Frame.Ping (payload i)))
+  done;
+  Thread.delay 0.2;
+  let t0 = Obs.Mclock.now_ns () in
+  Server.stop server;
+  let took = Obs.Mclock.elapsed_s t0 in
+  Alcotest.(check bool) (Printf.sprintf "stop returned in %.2f s" took) true (took < 5.);
+  Alcotest.(check bool) "no failure recorded" true (Server.failure server = None);
+  (* What did arrive is whole and in order. *)
+  let rec drain i =
+    match Client.recv client with
+    | Ok (Frame.Pong p) ->
+      Alcotest.(check bool) (Printf.sprintf "pong %d intact" i) true (p = payload i);
+      drain (i + 1)
+    | Ok frame -> Alcotest.failf "unexpected %s" (Frame.to_string frame)
+    | Error _ -> ()
+  in
+  drain 0;
+  Client.close client
 
 (* -- Graceful shutdown answers everything admitted --------------------------- *)
 
@@ -407,6 +534,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_truncation_waits;
     QCheck_alcotest.to_alcotest prop_concatenation;
     QCheck_alcotest.to_alcotest prop_garbage_total;
+    QCheck_alcotest.to_alcotest prop_inbox_reassembles;
     Alcotest.test_case "oversized payloads rejected" `Quick test_oversized_rejected;
     Alcotest.test_case "zero-length payloads rejected" `Quick test_zero_length_rejected;
     Alcotest.test_case "unknown tags rejected" `Quick test_unknown_tag_rejected;
@@ -424,8 +552,12 @@ let suite =
       test_stalled_session_isolated;
     Alcotest.test_case "hello flood cannot widen the session window" `Quick
       test_hello_flood_isolated;
-    Alcotest.test_case "gate close wakes parked readers" `Quick
-      test_gate_close_wakes_blocked;
+    Alcotest.test_case "engine queue bounds decoded requests" `Quick
+      test_engine_queue_bound;
+    Alcotest.test_case "replies leave without waiting for the next request" `Quick
+      test_reply_not_held;
     Alcotest.test_case "graceful stop answers everything admitted" `Quick
       test_stop_acks_admitted;
+    Alcotest.test_case "a peer that will not read cannot hold up stop" `Quick
+      test_stop_bounded_by_stalled_peer;
   ]
