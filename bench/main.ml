@@ -84,6 +84,16 @@ module Micro = struct
   let compose_clause_count =
     lazy (List.length (Formula.conjuncts (composed (db_fixture ()))))
 
+  (* Gauge divisor for solver/search: the nodes one unseeded solve of the
+     20-txn body expands, so the exported figure is ns per search node —
+     the figure to hold against enumerate's ns per candidate. *)
+  let search_nodes =
+    lazy
+      (let db = db_fixture () in
+       let stats = Solver.Backtrack.fresh_stats () in
+       ignore (Solver.Backtrack.solve ~stats db (composed db));
+       stats.Solver.Backtrack.nodes)
+
   (* Streaming candidate enumeration (the solver hot path): drain
      [Table.lookup_seq] over the full Available table in pkey order.
      [enumerate_count] is the gauge divisor — candidates per run. *)
@@ -136,8 +146,11 @@ module Micro = struct
       Test.make ~name:"unify/predicate" (Staged.stage (fun () -> Logic.Unify.predicate a1 a2));
       Test.make ~name:"compose/20-txn-body"
         (Staged.stage (fun () -> ignore (composed db)));
-      Test.make ~name:"solve/20-txn-body"
-        (Staged.stage (fun () -> ignore (Solver.Backtrack.solve db formula)));
+      Test.make ~name:"solver/search"
+        (Staged.stage (fun () ->
+             (* An unseeded solve of the 20-txn body: every node binds a
+                seat and wakes that seat's pairwise disequalities. *)
+             ignore (Solver.Backtrack.solve db formula)));
       Test.make ~name:"solver/enumerate"
         (Staged.stage (fun () ->
              (* One full streamed scan in primary-key order — the
@@ -268,6 +281,9 @@ let () =
       if name = "core/solver/enumerate" then
         Obs.Registry.set_gauge registry "bench.micro.solver.enumerate.ns_per_candidate"
           (ns /. float_of_int (Lazy.force Micro.enumerate_count));
+      if name = "core/solver/search" then
+        Obs.Registry.set_gauge registry "bench.micro.solver.search.ns_per_node"
+          (ns /. float_of_int (max 1 (Lazy.force Micro.search_nodes)));
       if name = "core/compose/20-txn-body" then
         Obs.Registry.set_gauge registry "bench.micro.compose.ns_per_clause"
           (ns /. float_of_int (Lazy.force Micro.compose_clause_count));

@@ -528,10 +528,10 @@ let ground_partition_body t (p : Partition.partition) target_ids =
     in
     let soft = soft_units sequence grounded_txns in
     let soft_formulas = List.map snd soft in
-    let solve ?seed ?(node_limit = t.config.node_limit) () =
+    let solve ?seed ?better_than ?(node_limit = t.config.node_limit) () =
       Obs.Flight.time Obs.Flight.Solve (fun () ->
-          Solver.Soft.solve ~node_limit ?seed ~stats:t.metrics.Metrics.solver_stats database
-            ~hard ~soft:soft_formulas)
+          Solver.Soft.solve ~node_limit ?seed ?better_than
+            ~stats:t.metrics.Metrics.solver_stats database ~hard ~soft:soft_formulas)
     in
     let all_satisfied o = Solver.Soft.satisfied_count o = List.length soft in
     let exhausted () =
@@ -575,18 +575,18 @@ let ground_partition_body t (p : Partition.partition) target_ids =
                 search degenerate into pigeonhole proofs; a failed repair
                 attempt must stay cheap.  Exhaustion of this *optional*
                 repair keeps the seeded outcome — a counted degradation,
-                not a rejection. *)
-             try solve ~node_limit:(max 1000 (t.config.node_limit / 256)) ()
+                not a rejection.  Only a repair satisfying more optionals
+                than the seeded outcome is kept, so smaller subsets
+                (down to the hard-only solve) are not even tried. *)
+             let better_than = Option.map Solver.Soft.satisfied_count seeded in
+             try solve ?better_than ~node_limit:(max 1000 (t.config.node_limit / 256)) ()
              with Solver.Backtrack.Too_many_nodes ->
                exhausted ();
                None
            in
-           (match seeded, unseeded with
-            | Some a, Some b ->
-              if Solver.Soft.satisfied_count b > Solver.Soft.satisfied_count a then Some b
-              else Some a
-            | Some a, None -> Some a
-            | None, other -> other)
+           (match unseeded with
+            | Some _ -> unseeded
+            | None -> seeded)
          | `Blown -> solve_escalated_or_overload ())
       | None ->
         (try solve ()

@@ -4,7 +4,8 @@
     Equivalent to the paper's LIMIT 1 compilation: an indexed
     nested-loop-join search that stops at the first valuation, with eager
     equality propagation, most-constrained-first atom selection and
-    deferred disequality / negated-atom checking. *)
+    deferred disequality / negated-atom checks, each re-evaluated only
+    when a binding touches one of its variables. *)
 
 type stats = {
   mutable nodes : int;

@@ -15,10 +15,16 @@ val solve :
   ?node_limit:int ->
   ?seed:Logic.Subst.t ->
   ?stats:Backtrack.stats ->
+  ?better_than:int ->
   Relational.Database.t ->
   hard:Logic.Formula.t ->
   soft:Logic.Formula.t list ->
   outcome option
-(** [None] only when the hard formula itself is unsatisfiable. *)
+(** Without [better_than], [None] only when the hard formula itself is
+    unsatisfiable.  With [better_than = c], only subsets of more than [c]
+    optionals are tried, so [None] also means "no valuation satisfies
+    more than [c]" (as far as the search budget can tell) — the repair
+    path that already holds a [c]-optional outcome skips the smaller
+    subsets whose results it would discard. *)
 
 val satisfied_count : outcome -> int

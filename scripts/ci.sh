@@ -152,10 +152,13 @@ echo "== server regression gate =="
 # noisy, while the structural checks above are exact.
 dune exec bin/qdb_cli.exe -- bench diff BENCH_server.json results/BENCH_server.json --gate 400
 
-echo "== front-door benchmark smoke =="
-# Runs: python3 qbench/run.py --workload front_door --seed 1 --seconds 8 --trace 0
+echo "== repo benchmark smoke (travel, front_door) =="
+# Runs: python3 qbench/run.py --workload WORKLOAD --seed 1 --seconds 8 --trace 0
 # and fails unless its last line has "correct": true and "failed": 0.
-bash scripts/front_door_smoke.sh 1 8
+# travel checks the engine invariant and every flight's seats; front_door
+# goes through a server process over TCP.
+bash scripts/qbench_smoke.sh travel 1 8
+bash scripts/qbench_smoke.sh front_door 1 8
 
 echo "== telemetry check =="
 if [ ! -f results/metrics.json ]; then
@@ -175,8 +178,10 @@ for key in ("counters", "gauges", "histograms"):
 micro = [k for k in d["gauges"] if k.startswith("bench.micro.")]
 if not micro:
     sys.exit("FAIL: no bench.micro.* gauges in results/metrics.json")
-if "bench.micro.sat.propagate.ns_per_literal" not in d["gauges"]:
-    sys.exit("FAIL: bench.micro.sat.propagate.ns_per_literal gauge missing")
+for gauge in ("bench.micro.sat.propagate.ns_per_literal",
+              "bench.micro.solver.search.ns_per_node"):
+    if gauge not in d["gauges"]:
+        sys.exit(f"FAIL: {gauge} gauge missing")
 print(f"ok: metrics.json valid ({len(micro)} micro-bench gauges)")
 EOF
 

@@ -11,6 +11,7 @@ let () =
       ("unify", Test_unify.suite);
       ("formula", Test_formula.suite);
       ("solver", Test_solver.suite);
+      ("search-identity", Test_search_identity.suite);
       ("query", Test_query.suite);
       ("join-order+limit-one", Test_join_order.suite);
       ("sat", Test_sat.suite);
