@@ -227,8 +227,8 @@ let () =
     ignore (Ablation.run_cache_stats scale);
     ignore (Ablation.run_formula_growth scale)
   end;
-  (* The domain-pool scalability sweep is opt-in (--only scaling): it
-     reruns the full Figure-7 sharded workload once per domain count. *)
+  (* The actor scalability sweep is opt-in (--only scaling): it reruns
+     the full Figure-7 per-flight workload once per domain count. *)
   if List.mem "scaling" only then begin
     let r = Scaling.run ~domains_list:domains () in
     Scaling.print r;

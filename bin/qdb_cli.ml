@@ -17,15 +17,14 @@
               record + span dump of each admission over the threshold
      crashmonkey — deterministic crash/recover cycles with fault
               injection; exits 1 on any recovery-invariant violation;
-              --domains N runs each cycle's refill fan-out on a pool;
               --actors N routes every engine call through an owning
               actor on a spawned domain
-     scaling — the Figure-7 sweep: the same seeded workload at each
-              --domains count, asserting identical outcomes, writing the
+     scaling — the Figure-7 sweep: the same seeded workload on
+              shared-nothing partition actors at each --domains count,
+              asserting identical outcomes, writing the
               BENCH_scaling.json series (schema v3: per-phase breakdown,
               actor busy time, parallelism efficiency, contended
-              companion points); --mode actor (default, shared-nothing
-              partition owners) or pool (legacy orchestrated sharding)
+              companion points)
      bench diff — compare a fresh bench recording against a committed
               baseline and exit non-zero past the --gate threshold; the
               one regression comparator scripts/ci.sh calls for both the
@@ -237,7 +236,7 @@ module Flight = Obs.Flight
 let us ns = float_of_int ns /. 1e3
 
 (* The per-record "coord" column: everything around the admission pipeline
-   proper — queue wait, snapshot freeze, worker-side residue, merge and
+   proper — queue wait, snapshot freeze, actor-task residue, merge and
    install time charged while the admission was open on its domain. *)
 let coordination_ns (r : Flight.record) =
   List.fold_left
@@ -431,14 +430,14 @@ let profile_cmd =
    and checks the recovery contract.  Exit 1 on any violation, so CI can
    gate on it. *)
 
-let run_crashmonkey cycles seed domains actors server =
+let run_crashmonkey cycles seed actors server =
   if server then begin
     (* Server mode: live TCP sessions into a group-commit engine whose
        WAL rides a volatile page cache, crashes armed at PRNG-chosen
        sync boundaries — every acked admission must survive replay. *)
-    let s = Workload.Crash_monkey.run_server ~cycles ~seed ~domains () in
-    Format.printf "crash monkey, server mode (seed %d, %d domain(s)):@.%a@." seed
-      (max 1 domains) Workload.Crash_monkey.pp_server s;
+    let s = Workload.Crash_monkey.run_server ~cycles ~seed () in
+    Format.printf "crash monkey, server mode (seed %d):@.%a@." seed
+      Workload.Crash_monkey.pp_server s;
     match s.Workload.Crash_monkey.srv_violations with
     | [] -> ()
     | violations ->
@@ -448,14 +447,9 @@ let run_crashmonkey cycles seed domains actors server =
       exit 1
   end
   else begin
-    let pool = if domains > 1 then Some (Par.Pool.create ~domains ()) else None in
     let actors = if actors > 0 then Some actors else None in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
-        (fun () -> Workload.Crash_monkey.run ~cycles ~seed ?pool ?actors ())
-    in
-    Format.printf "crash monkey (seed %d, %d domain(s)%s):@.%a@." seed (max 1 domains)
+    let s = Workload.Crash_monkey.run ~cycles ~seed ?actors () in
+    Format.printf "crash monkey (seed %d%s):@.%a@." seed
       (match actors with
        | Some n -> Printf.sprintf ", actor-routed x%d" n
        | None -> "")
@@ -481,20 +475,14 @@ let crashmonkey_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Run each cycle's engine over an $(docv)-domain pool (cache \
-                   capacity 3, so the parallel refill fan-out fires every \
-                   commit) — the recovery contract must hold regardless.")
-  in
   let actors_arg =
     Arg.(value & opt int 0
          & info [ "actors" ] ~docv:"N"
              ~doc:"Route every post-fixture engine call through an owning actor \
-                   on a real spawned domain (unclamped $(docv)-actor runtime) — \
-                   the injected crash must propagate across the domain boundary \
-                   and the recovery contract must hold regardless.")
+                   on a real spawned domain (unclamped $(docv)-actor runtime, \
+                   cache capacity 3 so a refill runs after every commit) — the \
+                   injected crash must propagate across the domain boundary and \
+                   the recovery contract must hold regardless.")
   in
   let server_arg =
     Arg.(value & flag
@@ -505,16 +493,16 @@ let crashmonkey_cmd =
                    admission durable (un-acked may vanish, never half-apply).")
   in
   Cmd.v (Cmd.info "crashmonkey" ~doc)
-    Term.(const run_crashmonkey $ cycles_arg $ seed_arg $ domains_arg $ actors_arg
-          $ server_arg)
+    Term.(const run_crashmonkey $ cycles_arg $ seed_arg $ actors_arg $ server_arg)
 
 (* -- chaos --------------------------------------------------------------------- *)
 
 (* Engine-wide chaos: every cycle injects solver-budget exhaustion
-   (squeezed governors) and pool-worker crashes mid-fan-out, runs at 1, 2
-   and 4 domains, and checks the survival contract — faults absorbed,
-   bit-identical outcomes, squeezed rejections genuine, [Overloaded]
-   side-effect-free.  Exit 1 on any violation, so CI can gate on it. *)
+   (squeezed governors) and job crashes mid-refill and mid-recheck, runs
+   inline and replayed through 1, 2 and 4 actors, and checks the survival
+   contract — faults absorbed, bit-identical outcomes, squeezed
+   rejections genuine, [Overloaded] side-effect-free.  Exit 1 on any
+   violation, so CI can gate on it. *)
 
 let run_chaos cycles seed =
   let s = Workload.Chaos.run ~cycles ~seed () in
@@ -529,13 +517,14 @@ let run_chaos cycles seed =
 
 let chaos_cmd =
   let doc =
-    "Run deterministic engine-wide chaos cycles (budget exhaustion, worker crashes) and \
+    "Run deterministic engine-wide chaos cycles (budget exhaustion, job crashes) and \
      check the survival and determinism invariants."
   in
   let cycles_arg =
     Arg.(value & opt int 100
          & info [ "cycles" ] ~docv:"N"
-             ~doc:"Number of chaos cycles (each runs at 1, 2 and 4 domains).")
+             ~doc:"Number of chaos cycles (each runs inline and through 1, 2 and 4 \
+                   actors).")
   in
   let seed_arg =
     Arg.(value & opt int 1234 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -544,29 +533,17 @@ let chaos_cmd =
 
 (* -- scaling ------------------------------------------------------------------- *)
 
-let run_scaling trace mode repeats domains flights rows pairs seed out =
+let run_scaling trace repeats domains flights rows pairs seed out =
   with_trace trace @@ fun () ->
-  let r =
-    Harness.Scaling.run ~mode ~repeats ~domains_list:domains ~flights ~rows ~pairs ~seed ()
-  in
+  let r = Harness.Scaling.run ~repeats ~domains_list:domains ~flights ~rows ~pairs ~seed () in
   Harness.Scaling.print r;
   ignore (Harness.Scaling.write ~path:out r)
 
 let scaling_cmd =
   let doc =
-    "Run the Figure-7 workload once per domain count, check the admission \
-     outcomes are identical, and write the scaling series as JSON."
-  in
-  let mode_arg =
-    let modes =
-      Arg.enum [ ("actor", Harness.Scaling.Actor); ("pool", Harness.Scaling.Pool) ]
-    in
-    Arg.(value & opt modes Harness.Scaling.Actor
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"Execution mode: $(b,actor) (default) runs shared-nothing \
-                   partition owners — one long-lived domain per live actor, \
-                   clamped to the host's parallelism; $(b,pool) runs the legacy \
-                   orchestrated sharding for comparison.")
+    "Run the Figure-7 workload on partition actors once per domain count (one \
+     long-lived domain per live actor, clamped to the host's parallelism), check the \
+     admission outcomes are identical, and write the scaling series as JSON."
   in
   let repeats_arg =
     Arg.(value & opt int 1
@@ -595,7 +572,7 @@ let scaling_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON series.")
   in
   Cmd.v (Cmd.info "scaling" ~doc)
-    Term.(const run_scaling $ trace_arg $ mode_arg $ repeats_arg $ domains_arg
+    Term.(const run_scaling $ trace_arg $ repeats_arg $ domains_arg
           $ flights_arg $ rows_arg $ pairs_arg $ seed_arg $ out_arg)
 
 (* -- serve / load --------------------------------------------------------------- *)
@@ -606,16 +583,15 @@ let scaling_cmd =
    `qdb_cli serve` and a bare `qdb_cli load` agree on the flight bands
    the sessions book into. *)
 
-let run_serve host port sessions requests domains wal duration =
+let run_serve host port sessions requests wal duration =
   let geometry = Harness.Server.geometry_for ~sessions ~requests_per_session:requests in
   let backend = Option.map Relational.Wal.file_backend wal in
   let store = Workload.Flights.fresh_store ?backend geometry in
-  let config = { Net.Server.default_config with Net.Server.domains } in
-  let server = Net.Server.start ~config ~store (Net.Server.Tcp (host, port)) in
+  let server = Net.Server.start ~store (Net.Server.Tcp (host, port)) in
   (match Net.Server.address server with
    | Net.Server.Tcp (h, p) ->
-     Printf.printf "qdb server listening on %s:%d (%d flights, %d domain(s), wal: %s)\n%!" h p
-       geometry.Workload.Flights.flights domains
+     Printf.printf "qdb server listening on %s:%d (%d flights, wal: %s)\n%!" h p
+       geometry.Workload.Flights.flights
        (Option.value ~default:"in-memory" wal)
    | Net.Server.Unix_sock p -> Printf.printf "qdb server listening on %s\n%!" p);
   let interrupted = Atomic.make false in
@@ -665,9 +641,6 @@ let serve_cmd =
   let port_arg =
     Arg.(value & opt int 7790 & info [ "port" ] ~docv:"PORT" ~doc:"Bind port (0 picks one).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Engine domain-pool size.")
-  in
   let wal_arg =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"FILE"
@@ -678,8 +651,8 @@ let serve_cmd =
          & info [ "duration" ] ~docv:"SECONDS" ~doc:"Stop gracefully after $(docv).")
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run_serve $ host_arg $ port_arg $ sessions_arg $ requests_arg $ domains_arg
-          $ wal_arg $ duration_arg)
+    Term.(const run_serve $ host_arg $ port_arg $ sessions_arg $ requests_arg $ wal_arg
+          $ duration_arg)
 
 let run_load host port sessions requests hz seed =
   let stats =
@@ -729,10 +702,10 @@ let load_cmd =
      qdb.bench.scaling/v3 — the same 1-domain cost ratio, plus the
        actor-mode no-slowdown gate: speedup_vs_1 >= 0.9 at every point
        (multicore wins are gravy; going *slower* with more domains — the
-       old pool pathology — fails), queue_wait < 5% of wall, per-phase
-       attribution >= 95% of measured actor busy time, and the contended
-       companion series must show real rejections and real Overloaded
-       outcomes;
+       pathology of the retired pool mode — fails), queue_wait < 5% of
+       wall, per-phase attribution >= 95% of measured actor busy time,
+       and the contended companion series must show real rejections and
+       real Overloaded outcomes;
      qdb.bench.server/v1 — admission outcome counts pinned exactly to
        the baseline's (the load is seeded and per-flight-deterministic),
        zero error responses, mean group-commit batch size > 1 (the
@@ -844,9 +817,9 @@ let scaling_check_phases label j =
     (jseries label j)
 
 (* Scaling v3: the actor-mode gates.  [attributed_pct]'s denominator is
-   measured busy time (actor mode) or wall x domains (pool mode), so the
-   95% floor is meaningful at every domain count — the fix for the old
-   615%/694% wall-basis readings.  The no-slowdown gate encodes the
+   measured busy time (actor mode; recordings of the retired pool mode
+   used wall x domains), so the 95% floor is meaningful at every domain
+   count — the fix for the old 615%/694% wall-basis readings.  The no-slowdown gate encodes the
    1-core honesty rule: with the hardware clamp, extra requested domains
    must cost nothing (speedup ~1.0), and on multicore they must win; a
    small tolerance absorbs clock noise. *)
@@ -870,8 +843,9 @@ let scaling_v3_check label j =
             bench_fail "%s: %d-domain phases_s lacks %S" label domains bucket)
         [ "queue_wait"; "freeze"; "compute"; "merge"; "install"; "wal" ];
       let attributed = jnum label "attributed_pct" p in
-      (* In pool mode the wall x domains basis undercounts whenever the
-         pool idles, so the floor is only meaningful at 1 domain. *)
+      (* A pool-mode recording's wall x domains basis undercounts whenever
+         the pool idled, so there the floor is only meaningful at 1
+         domain. *)
       if (actor_mode || domains = 1) && attributed < 95. then
         bench_fail "%s: %d-domain point attributes only %.1f%% of busy time (floor: 95%%)"
           label domains attributed;
@@ -1148,9 +1122,8 @@ let run_bench_diff baseline_path current_path gate =
    | other -> bench_fail "unsupported schema %S" other);
   Printf.printf "bench diff: %s within %.0f%% of %s\n%!" current_path gate baseline_path
 
-let run_bench_server sessions requests hz domains seed out =
-  let spec = { Harness.Server.sessions; requests_per_session = requests;
-               target_hz = hz; domains; seed } in
+let run_bench_server sessions requests hz seed out =
+  let spec = { Harness.Server.sessions; requests_per_session = requests; target_hz = hz; seed } in
   let r = Harness.Server.bench ~spec () in
   Harness.Server.print r;
   ignore (Harness.Server.write ~path:out r)
@@ -1183,9 +1156,6 @@ let bench_cmd =
     let hz_arg =
       Arg.(value & opt float 800. & info [ "hz" ] ~docv:"HZ" ~doc:"Per-session arrival rate.")
     in
-    let domains_arg =
-      Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Engine domain-pool size.")
-    in
     let seed_arg =
       Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
     in
@@ -1194,8 +1164,7 @@ let bench_cmd =
            & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON recording.")
     in
     Cmd.v (Cmd.info "server" ~doc)
-      Term.(const run_bench_server $ sessions_arg $ requests_arg $ hz_arg $ domains_arg
-            $ seed_arg $ out_arg)
+      Term.(const run_bench_server $ sessions_arg $ requests_arg $ hz_arg $ seed_arg $ out_arg)
   in
   let doc = "Bench-recording tooling (producers and regression comparison)." in
   Cmd.group (Cmd.info "bench" ~doc) [ diff_cmd; server_cmd ]

@@ -6,9 +6,10 @@
 
    Clamping is the multicore honesty rule: spawning more actor domains
    than the host's recommended parallelism cannot add throughput, only
-   stop-the-world GC pressure (the exact pathology the old pool-sharded
-   sweep measured), so [create] multiplexes groups onto at most
-   [Domain.recommended_domain_count ()] domains unless told otherwise.
+   stop-the-world GC pressure (the exact pathology the retired
+   pool-sharded sweep measured), so [create] multiplexes groups onto at
+   most [Domain.recommended_domain_count ()] domains unless told
+   otherwise.
    A single live actor runs inline on the caller — no domain, no
    mailbox hop — which keeps the 1-domain configuration cost-free and
    shares its code path with the N-domain one. *)
@@ -160,6 +161,16 @@ let inline_mode t = t.domains = [] (* live = 1: run on the caller *)
 let check_running t =
   if t.stopped then invalid_arg "Actor.Runtime: runtime is shut down"
 
+(* A task crossing to an actor domain carries the sender's current span,
+   so spans it records parent to the span that sent it.  Captured only
+   while tracing is on: otherwise the task is sent as is. *)
+let with_sender_ctx f =
+  if Obs.Trace.on () then begin
+    let ctx = Obs.Trace.capture () in
+    fun resolve -> Obs.Trace.with_ctx ctx (fun () -> f resolve)
+  end
+  else f
+
 (* Ship work to an actor by index.  Inline mode executes immediately on
    the caller's domain — same [run_work] instrumentation, no hop. *)
 let dispatch t idx f =
@@ -172,7 +183,7 @@ let dispatch t idx f =
        configuration always paid. *)
     batch_end t a
   end
-  else if not (Par.Mailbox.send a.mbox (Work (store_failure a f))) then
+  else if not (Par.Mailbox.send a.mbox (Work (store_failure a (with_sender_ctx f)))) then
     invalid_arg "Actor.Runtime: mailbox closed"
 
 let post t ~key f = dispatch t (owner t ~key) (fun resolve -> f (resolve key))
@@ -192,7 +203,8 @@ let call_on t idx f =
     end
     else begin
       let iv = ivar () in
-      if not (Par.Mailbox.send a.mbox (Work (fun resolve -> fill iv (body resolve)))) then
+      let work = with_sender_ctx (fun resolve -> fill iv (body resolve)) in
+      if not (Par.Mailbox.send a.mbox (Work work)) then
         invalid_arg "Actor.Runtime: mailbox closed";
       await iv
     end

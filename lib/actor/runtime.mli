@@ -18,7 +18,12 @@
 
     One driver thread posts, calls, drains and shuts down; actor tasks
     must not touch the runtime themselves (except through the group
-    state handed to them). *)
+    state handed to them).
+
+    While tracing is on ({!Obs.Trace.on}), a task sent to an actor
+    domain ([post], [call], [coordinate]) runs under the sender's
+    current span ({!Obs.Trace.capture} / {!Obs.Trace.with_ctx}), so the
+    spans it records parent to the driver's span across the hop. *)
 
 type 'g t
 

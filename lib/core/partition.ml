@@ -25,16 +25,6 @@ type partition = {
 let formula p = Compose.Inc.formula p.body
 let composed_clauses p = Compose.Inc.clause_count p.body
 
-(* Immutable snapshot of a partition for read-only solver work on a
-   worker domain: nothing a concurrent main-thread mutation can pull out
-   from under the solve. *)
-type frozen = {
-  f_pid : int;
-  f_txns : Rtxn.t list;
-  f_formula : Formula.t;
-  f_witnesses : Subst.t list;
-}
-
 type t = {
   mutable partitions : partition list;
   mutable next_pid : int;
@@ -89,14 +79,6 @@ let set_txns t p txns =
 let append_txn t p txn ~new_clauses =
   set_txns t p (p.txns @ [ txn ]);
   Compose.Inc.extend p.body new_clauses
-
-let freeze p =
-  {
-    f_pid = p.pid;
-    f_txns = p.txns;
-    f_formula = formula p;
-    f_witnesses = Solver.Cache.witnesses p.cache;
-  }
 
 let fresh_partition t txns body =
   let p =

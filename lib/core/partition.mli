@@ -21,14 +21,6 @@ val formula : partition -> Logic.Formula.t
 val composed_clauses : partition -> int
 (** Top-level clause count of the composed body (observability gauge). *)
 
-type frozen = {
-  f_pid : int;
-  f_txns : Rtxn.t list;
-  f_formula : Logic.Formula.t;
-  f_witnesses : Logic.Subst.t list;
-}
-(** Immutable snapshot for read-only solver work on a worker domain. *)
-
 type t
 
 val create :
@@ -62,8 +54,6 @@ val append_txn : t -> partition -> Rtxn.t -> new_clauses:Logic.Formula.t -> unit
     {!set_txns}) and the composed chunk cache together.  [new_clauses]
     must be the delta composition of the transaction against the
     partition's current sequence. *)
-
-val freeze : partition -> frozen
 
 val depends : Rtxn.t -> partition -> bool
 (** Conservative: any atom of the transaction unifies with any atom of a

@@ -95,19 +95,15 @@ type t = {
   parts : Partition.t;
   config : config;
   metrics : Metrics.t;
-  (* Domain pool for partition-level solver fan-out (cache refills,
-     blind-write re-checks).  [None] or a size-1 pool runs the same job
-     plans inline — one code path, so 1-domain and N-domain executions
-     are deterministic replicas of each other. *)
-  pool : Par.Pool.t option;
   mutable next_id : int;
   (* observer invoked for every grounding, wherever it was triggered
      (explicit, read-induced, partner arrival, k-pressure) — the paper's
      optional second notification that values have been assigned. *)
   mutable ground_hook : (grounding -> unit) option;
-  (* chaos hook (fault-injection harness): invoked on the worker before
-     every fan-out job with a deterministic (kind, fanout seq, job index)
-     coordinate; raising poisons that job.  [None] in production. *)
+  (* chaos hook (fault-injection harness): invoked before every
+     per-partition refill/recheck job with a deterministic (kind, fanout
+     seq, job index) coordinate; raising poisons that job.  [None] in
+     production. *)
   mutable fault_injector : (kind:string -> fanout:int -> job:int -> unit) option;
   mutable fanout_seq : int;
   (* Incremental CDCL session for the SAT backend, created on first use:
@@ -169,7 +165,7 @@ let key_resolver store rel =
   | Some table -> Some (Schema.key_indices (Relational.Table.schema table))
   | None -> None
 
-let create ?(config = default_config) ?pool store =
+let create ?(config = default_config) store =
   (match Store.find_table store pending_table_name with
    | Some _ -> ()
    | None -> ignore (Store.create_table store pending_schema));
@@ -182,7 +178,6 @@ let create ?(config = default_config) ?pool store =
         ~check_inserts:config.check_inserts ~cache_capacity:config.cache_capacity ();
     config;
     metrics;
-    pool;
     next_id = 0;
     ground_hook = None;
     fault_injector = None;
@@ -190,32 +185,22 @@ let create ?(config = default_config) ?pool store =
     sat_session = None;
   }
 
-(* Fan a list of pure compute jobs across the domain pool (inline without
-   one).  Results come back in input order either way. *)
-let pool_map t f xs =
-  match t.pool with
-  | Some pool when Par.Pool.size pool > 1 -> Par.Pool.map pool f xs
-  | Some _ | None -> List.map f xs
-
-(* Chaos-instrumented fan-out: with an injector installed, every job is
-   preceded by an injector call keyed on a deterministic coordinate —
-   the fan-out sequence number (assigned here, on the orchestrating
-   thread) and the job's input-order index.  Decisions made from these
-   coordinates are identical at any domain count, and an injected raise
-   rides the pool's exception plumbing exactly like a real worker
-   crash. *)
-let pool_map_injectable t ~kind f xs =
+(* Run one per-partition job list in order.  With an injector installed,
+   every job is preceded by an injector call keyed on a deterministic
+   coordinate — the fan-out sequence number and the job's input-order
+   index — so a chaos schedule is a pure function of the engine's own
+   history; an injected raise stops the list like any job failure. *)
+let map_jobs t ~kind f xs =
   match t.fault_injector with
-  | None -> pool_map t f xs
+  | None -> List.map f xs
   | Some inject ->
     let fanout = t.fanout_seq in
     t.fanout_seq <- t.fanout_seq + 1;
-    let indexed = List.mapi (fun i x -> (i, x)) xs in
-    pool_map t
-      (fun (i, x) ->
+    List.mapi
+      (fun i x ->
         inject ~kind ~fanout ~job:i;
         f x)
-      indexed
+      xs
 
 let set_fault_injector t inject = t.fault_injector <- Some inject
 let clear_fault_injector t = t.fault_injector <- None
@@ -731,19 +716,18 @@ let adapt_partition t (p : Partition.partition) =
 (* -- Submission (Section 3.2.1) ------------------------------------------- *)
 
 (* Multi-solution caches (Section 4's background-process strategy): top
-   every partition's witness pool back up after the state changed.  The
-   compute phase is pure per partition — the paper's "background process"
-   made real: with a domain pool the solves run concurrently across
-   partitions; without one the same tightly-budgeted job plans run inline
-   on the commit path.  Installs happen on this thread in ascending-pid
-   order, and each job solves with a private stats record merged here, so
-   the outcome and telemetry are identical at any pool size. *)
+   every partition's witness pool back up after the state changed, with
+   tightly-budgeted solves on the commit path.  Every partition's refill
+   is computed first, each with a private stats record, and only then
+   installed (in ascending-pid order, stats merged as they install): a
+   refill that fails part-way is abandoned wholesale, so the caches and
+   stats are exactly as if it never ran. *)
 let refill_caches t =
   if t.config.cache_capacity > 1 then begin
     Obs.Flight.time Obs.Flight.Coordination @@ fun () ->
     let budget = max 1000 (t.config.node_limit / 256) in
-    (* Freeze: snapshotting each partition's composed body for the worker
-       jobs — [Partition.formula] flattens (memoized) the chunk cache. *)
+    (* Freeze: snapshotting each partition's composed body for its refill
+       job — [Partition.formula] flattens (memoized) the chunk cache. *)
     let plans =
       Obs.Flight.time Obs.Flight.Freeze @@ fun () ->
       Obs.Trace.span ~cat:"qdb" "qdb.freeze" @@ fun () ->
@@ -759,13 +743,11 @@ let refill_caches t =
     if plans <> [] then begin
       let database = db t in
       (* The refill is best-effort by design (the paper's background
-         process): if any fan-out job dies — a worker exception, an
-         injected fault — the whole batch is abandoned before install, so
-         the caches and stats are exactly as if the refill never ran.
-         That holds at every domain count: results are discarded wholesale
-         and refill jobs are pure, so partially-run batches cannot leak. *)
+         process): if any job dies — a solver exception, an injected
+         fault — the whole batch is abandoned before install.  Refill
+         jobs are pure, so a partially-run batch cannot leak. *)
       match
-        pool_map_injectable t ~kind:"refill"
+        map_jobs t ~kind:"refill"
           (fun ((p : Partition.partition), job) ->
             Obs.Trace.span ~cat:"cache"
               ~args:(fun () -> [ ("partition", Obs.Trace.Int p.Partition.pid) ])
@@ -1218,51 +1200,47 @@ let write t ops =
   match Database.apply_ops database ops with
   | Error err -> Error (Database.op_error_to_string err)
   | Ok () ->
-    (* Revalidation fan-out: each affected partition's re-check (witness
-       filter, then a full re-solve when every witness died) is pure over
-       a frozen partition view, so the jobs run across the domain pool;
-       cache installs and stats merges happen here, in partition order. *)
+    (* Revalidation: each affected partition's re-check (witness filter,
+       then a full re-solve when every witness died) is computed for every
+       partition before any is installed, each with a private stats
+       record; cache installs and stats merges happen after, in partition
+       order.  Nothing mutates a partition's body or witnesses before its
+       install, so the jobs read them directly. *)
     let verdict =
-      (* If the fan-out itself blows up (an injected fault, a pool-worker
-         crash), the tentative ops MUST still be rolled back — otherwise
-         the write stays half-applied with no WAL record and the store is
-         poisoned.  Compute under [try]; rollback happens in every arm. *)
+      (* If a re-check blows up (an injected fault, a solver exception),
+         the tentative ops MUST still be rolled back — otherwise the write
+         stays half-applied with no WAL record and the store is poisoned —
+         and no cache may have been touched.  Compute under [try]; rollback
+         happens in every arm. *)
       try
-        let checks, outcomes =
+        let outcomes =
           Obs.Flight.time Obs.Flight.Coordination @@ fun () ->
-          let checks =
-            Obs.Flight.time Obs.Flight.Freeze @@ fun () ->
-            Obs.Trace.span ~cat:"qdb" "qdb.freeze" @@ fun () ->
-            List.map (fun p -> (p, Partition.freeze p)) affected
-          in
-          let outcomes =
-            pool_map_injectable t ~kind:"recheck"
-              (fun ((p : Partition.partition), fz) ->
-                Obs.Trace.span ~cat:"cache"
-                  ~args:(fun () -> [ ("partition", Obs.Trace.Int p.Partition.pid) ])
-                  "cache.recheck_compute"
-                @@ fun () ->
-                let stats = Solver.Backtrack.fresh_stats () in
-                let outcome =
-                  Solver.Cache.recheck_compute ~node_limit:t.config.node_limit ~stats database
-                    ~witnesses:fz.Partition.f_witnesses ~formula:fz.Partition.f_formula
-                in
-                (outcome, stats))
-              checks
-          in
-          (checks, outcomes)
+          map_jobs t ~kind:"recheck"
+            (fun (p : Partition.partition) ->
+              Obs.Trace.span ~cat:"cache"
+                ~args:(fun () -> [ ("partition", Obs.Trace.Int p.Partition.pid) ])
+                "cache.recheck_compute"
+              @@ fun () ->
+              let stats = Solver.Backtrack.fresh_stats () in
+              let outcome =
+                Solver.Cache.recheck_compute ~node_limit:t.config.node_limit ~stats database
+                  ~witnesses:(Solver.Cache.witnesses p.Partition.cache)
+                  ~formula:(Partition.formula p)
+              in
+              (outcome, stats))
+            affected
         in
         let still_ok =
           Obs.Flight.time Obs.Flight.Install @@ fun () ->
           Obs.Trace.span ~cat:"cache"
-            ~args:(fun () -> [ ("partitions", Obs.Trace.Int (List.length checks)) ])
+            ~args:(fun () -> [ ("partitions", Obs.Trace.Int (List.length affected)) ])
             "cache.recheck_install"
           @@ fun () ->
           List.fold_left2
-            (fun ok (p, _) (outcome, stats) ->
+            (fun ok p (outcome, stats) ->
               Solver.Backtrack.add_stats ~into:t.metrics.Metrics.solver_stats stats;
               Solver.Cache.recheck_install p.Partition.cache outcome && ok)
-            true checks outcomes
+            true affected outcomes
         in
         `Checked still_ok
       with e -> `Aborted (Printexc.to_string e)
@@ -1273,7 +1251,7 @@ let write t ops =
     match verdict with
     | `Aborted reason ->
       (* Conservative refusal: no caches were installed (installs run after
-         the fan-out completes), the database is back to its pre-write
+         every re-check completed), the database is back to its pre-write
          state, and nothing reached the WAL. *)
       t.metrics.Metrics.writes_rejected <- t.metrics.Metrics.writes_rejected + 1;
       Obs.Trace.instant ~cat:"qdb" "qdb.write_aborted";
@@ -1369,9 +1347,9 @@ let sat_session_resets t =
 
 let recovery_report t = Store.recovery_report t.store
 
-let recover ?(config = default_config) ?pool ?strict backend =
+let recover ?(config = default_config) ?strict backend =
   let store = Store.crash_and_recover ?strict backend in
-  let t = create ~config ?pool store in
+  let t = create ~config store in
   let table = Store.table store pending_table_name in
   let rows = List.sort Tuple.compare (Relational.Table.to_list table) in
   let txns =

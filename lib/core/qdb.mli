@@ -75,13 +75,11 @@ exception Engine_overloaded of string
 (** A grounding (not an admission) exhausted its solver budget even after
     escalation.  The pending set is left untouched. *)
 
-val create : ?config:config -> ?pool:Par.Pool.t -> Relational.Store.t -> t
+val create : ?config:config -> Relational.Store.t -> t
 (** Wrap a store; creates the pending-transactions table when missing.
-    [pool], when given, runs partition-level solver fan-out (cache
-    refills, blind-write re-checks) across its domains; the same job
-    plans run inline without one, so outcomes are identical at any pool
-    size.  WAL appends and grounding commits always stay on the calling
-    thread. *)
+    An engine is single-threaded: every operation, solver work included,
+    runs on the calling thread.  Parallelism comes from running
+    independent engines on partition actors ({!Actor.Runtime}). *)
 
 val db : t -> Relational.Database.t
 val metrics : t -> Metrics.t
@@ -196,13 +194,13 @@ val write : t -> Relational.Database.op list -> (unit, string) result
     composed body stays satisfiable afterwards. *)
 
 val set_fault_injector : t -> (kind:string -> fanout:int -> job:int -> unit) -> unit
-(** Chaos hook: called before every pool-fan-out job the engine schedules,
-    with the fan-out kind ("refill", "recheck"), a per-engine
-    fan-out sequence number (assigned on the orchestrator thread, so it is
-    independent of the domain count) and the job's input-order index.
-    Raising from the injector simulates a worker crash; the engine must
-    absorb it — refills are abandoned wholesale, write revalidations
-    refuse conservatively — leaving state consistent and deterministic. *)
+(** Chaos hook: called before every per-partition job of a cache refill
+    or blind-write re-check, with the job kind ("refill", "recheck"), a
+    per-engine fan-out sequence number (one per refill or re-check round)
+    and the job's input-order index.  Raising from the injector simulates
+    a job crash; the engine must absorb it — refills are abandoned
+    wholesale, write revalidations refuse conservatively — leaving state
+    consistent and deterministic. *)
 
 val clear_fault_injector : t -> unit
 
@@ -216,7 +214,7 @@ val recovery_report : t -> Relational.Wal.recovery_report option
     kept, what it dropped and why.  Also exported as [wal.recovery.*]
     gauges by {!registry}. *)
 
-val recover : ?config:config -> ?pool:Par.Pool.t -> ?strict:bool -> Relational.Wal.backend -> t
+val recover : ?config:config -> ?strict:bool -> Relational.Wal.backend -> t
 (** Crash recovery (Section 4): replay the WAL (leniently unless
     [~strict], truncating a damaged tail after the last complete batch),
     re-parse the pending-transactions table and rebuild partitions,

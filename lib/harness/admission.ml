@@ -7,8 +7,8 @@
    the best case for delta composition + witness-seeded solving.  Each k
    runs twice, [incremental] on and off (the [Qdb.config.incremental]
    ablation), and the sweep asserts the accept/reject outcomes are
-   bit-identical between the two modes and across domain-pool sizes
-   1/2/4 before recording anything into BENCH_admission.json.
+   bit-identical between the two modes before recording anything into
+   BENCH_admission.json.
 
    Wall time per point is the best of [repeats] runs (fresh store and
    engine each time), which filters allocator/GC noise without hiding
@@ -36,7 +36,7 @@ type recording = {
   series : point list;
   speedups : (int * float) list;  (** per k: from-scratch ns / incremental ns *)
   deterministic : bool;
-      (** outcomes identical incremental vs from-scratch and at 1/2/4 domains *)
+      (** outcomes identical incremental vs from-scratch *)
 }
 
 let default_ks = [ 5; 10; 20; 40 ]
@@ -55,9 +55,9 @@ let config ~incremental k =
 
 (* One sweep: k admissions into a fresh engine.  Returns the engine (for
    gauge/stat readout), the per-submission outcome trace and wall time. *)
-let sweep ?pool ~incremental k =
+let sweep ~incremental k =
   let store = Flights.fresh_store { Flights.flights = 1; rows_per_flight = k; dest = "LA" } in
-  let qdb = Qdb.create ~config:(config ~incremental k) ?pool store in
+  let qdb = Qdb.create ~config:(config ~incremental k) store in
   (* Monotonic clock: Unix.gettimeofday is not NTP-safe and must not time
      latency measurements (see lib/obs/mclock.ml). *)
   let t0 = Obs.Mclock.now_ns () in
@@ -89,29 +89,15 @@ let run_point ~repeats ~incremental k =
     },
     outcomes )
 
-(* Outcome identity across the ablation and across domain-pool sizes —
-   the bench refuses to record numbers for diverging configurations. *)
-let check_identical ~reference k =
-  List.for_all
-    (fun domains ->
-      let pool = Par.Pool.create ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Par.Pool.shutdown pool)
-        (fun () ->
-          let _, outcomes, _ = sweep ~pool ~incremental:true k in
-          outcomes = reference))
-    [ 1; 2; 4 ]
-
 let run ?(ks = default_ks) ?(repeats = 3) () =
   let raw =
     List.map
       (fun k ->
         let inc, inc_outcomes = run_point ~repeats ~incremental:true k in
         let scratch, scratch_outcomes = run_point ~repeats ~incremental:false k in
-        let identical =
-          inc_outcomes = scratch_outcomes && check_identical ~reference:inc_outcomes k
-        in
-        (k, inc, scratch, identical))
+        (* Outcome identity across the ablation: the bench refuses to
+           record numbers for diverging configurations. *)
+        (k, inc, scratch, inc_outcomes = scratch_outcomes))
       ks
   in
   {
@@ -154,10 +140,10 @@ let print r =
   List.iter
     (fun (k, x) -> Printf.printf "k=%-3d incremental speedup: %.2fx\n%!" k x)
     r.speedups;
-  Printf.printf "(host cores: %d; outcomes %s across modes and 1/2/4 domains)\n%!" r.cores
+  Printf.printf "(host cores: %d; outcomes %s across modes)\n%!" r.cores
     (if r.deterministic then "identical" else "DIVERGED");
   if not r.deterministic then
-    failwith "admission bench: outcomes diverged across modes or domain counts"
+    failwith "admission bench: outcomes diverged across modes"
 
 let json_of_recording r =
   let b = Buffer.create 1024 in

@@ -1,5 +1,5 @@
 (* Figure-7 scalability baseline: the multi-flight workload at increasing
-   domain counts, in either execution mode.
+   domain counts on the partition-actor runtime.
 
    Flights are independent partitions (Section 5.3), so per-flight
    admission is embarrassingly parallel.  This bench runs the SAME
@@ -8,49 +8,34 @@
    ns/admission, speedup vs 1 domain, solver work and a per-phase time
    breakdown into BENCH_scaling.json (schema v3).
 
-   Two modes:
-
-   - [Actor] (default): shared-nothing partition owners
-     ([Runner.run_actors]) — one long-lived domain per live actor owns
-     its flight groups end-to-end, the driver routes op by op through
-     bounded mailboxes, and the runtime clamps spawned domains to the
-     host's parallelism (requested [domains] vs live [actors] are both
-     recorded).  There is no centralized queue on the hot path, so
-     queue_wait is structurally ~0 — the pathology the old sharded
-     sweep measured (179 s of summed queue wait against a 43 s wall at
-     2 domains) cannot occur.
-   - [Pool]: the legacy "main thread orchestrates, pool assists" path
-     ([Runner.run_sharded]), kept runnable for comparison.
+   Execution: shared-nothing partition owners ([Runner.run_actors]) —
+   one long-lived domain per live actor owns its flight groups
+   end-to-end, the driver routes op by op through bounded mailboxes, and
+   the runtime clamps spawned domains to the host's parallelism
+   (requested [domains] vs live [actors] are both recorded).  There is
+   no centralized queue on the hot path, so queue_wait is structurally
+   ~0 — the pathology the old orchestrated sweep measured (179 s of
+   summed queue wait against a 43 s wall at 2 domains) cannot occur.
 
    Phase attribution: per-point deltas of the flight recorder's
    process-wide exclusive per-phase totals, folded into six buckets.
-   [attributed_pct] is the coverage figure, and its denominator is the
-   fix for the old 615%/694% readings (summed cross-domain phase time
-   divided by one domain's wall clock): in actor mode it is measured
-   actor busy time, in pool mode wall x domains — either way "of the
-   domain-time actually spent, how much did the recorder attribute", a
-   floor that is meaningful at every domain count.
-   [parallelism_efficiency] reports separately how much of the
-   theoretical domain-time budget (wall x live domains) was busy.
+   [attributed_pct] is the coverage figure, and its denominator is
+   measured actor busy time, not one domain's wall clock (the cause of
+   the old 615%/694% readings): "of the domain-time actually spent, how
+   much did the recorder attribute", a floor that is meaningful at every
+   domain count.  [parallelism_efficiency] reports separately how much
+   of the theoretical domain-time budget (wall x live domains) was busy.
 
-   A contended companion series (always actor-mode) reuses the
-   contention harness's regimes — an over-capacity crowd for real
-   rejections and a squeezed governor for real Overloaded outcomes — so
-   actor routing is exercised on every admission path, not just
-   accepts, and its outcome counts are pinned across domain counts. *)
+   A contended companion series reuses the contention harness's regimes
+   — an over-capacity crowd for real rejections and a squeezed governor
+   for real Overloaded outcomes — so actor routing is exercised on every
+   admission path, not just accepts, and its outcome counts are pinned
+   across domain counts. *)
 
 module Runner = Workload.Runner
 module Qdb = Quantum.Qdb
 module Governor = Quantum.Governor
 module Flight = Obs.Flight
-
-type mode =
-  | Pool
-  | Actor
-
-let mode_to_string = function
-  | Pool -> "pool"
-  | Actor -> "actor"
 
 (* The six phase buckets, in seconds. *)
 type phases = {
@@ -75,9 +60,9 @@ let phases_total_s p = List.fold_left (fun acc (_, s) -> acc +. s) 0. (phase_fie
 
 type point = {
   domains : int; (* requested *)
-  actors : int; (* live after the hardware clamp (= domains in pool mode) *)
+  actors : int; (* live after the hardware clamp *)
   wall_s : float;
-  busy_s : float; (* summed actor task time; 0 in pool mode (not measured) *)
+  busy_s : float; (* summed actor task time *)
   ns_per_admission : float;
   speedup_vs_1 : float;
   committed : int;
@@ -107,7 +92,6 @@ type contended_point = {
 }
 
 type recording = {
-  mode : mode;
   flights : int;
   rows_per_flight : int;
   pairs_per_flight : int;
@@ -146,34 +130,16 @@ let bucket_deltas before after =
       +. s Flight.Compute +. s Flight.Coordination +. s Flight.Governor;
   }
 
-let run_point ~mode ~config ~spec domains =
+let run_point ~config ~spec domains =
   let sink = Runner.metrics_sink in
   let nodes0 = sink.Quantum.Metrics.solver_stats.Solver.Backtrack.nodes in
   let cands0 = sink.Quantum.Metrics.solver_stats.Solver.Backtrack.candidates in
   let totals0 = Flight.totals () in
-  let outcome, actors, busy_s =
-    match mode with
-    | Pool ->
-      let pool = Par.Pool.create ~domains () in
-      let outcome =
-        Fun.protect
-          ~finally:(fun () -> Par.Pool.shutdown pool)
-          (fun () -> Runner.run_sharded ~pool (Runner.Quantum_engine config) spec)
-      in
-      (outcome, domains, 0.)
-    | Actor ->
-      let outcome, report =
-        Runner.run_actors ~actors:domains (Runner.Quantum_engine config) spec
-      in
-      (outcome, report.Runner.actors_live, report.Runner.busy_s)
-  in
+  let outcome, report = Runner.run_actors ~actors:domains (Runner.Quantum_engine config) spec in
+  let actors = report.Runner.actors_live and busy_s = report.Runner.busy_s in
   let phases = bucket_deltas totals0 (Flight.totals ()) in
   let admissions = outcome.Runner.committed + outcome.Runner.rejected in
   let wall_s = outcome.Runner.total_time_s in
-  (* Attribution denominator: the domain-time actually spent.  Actor mode
-     measures it; pool mode has no per-worker busy clock, so the honest
-     upper bound wall x domains stands in. *)
-  let busy_basis = if busy_s > 0. then busy_s else wall_s *. float_of_int actors in
   ( outcome,
     {
       domains;
@@ -191,9 +157,9 @@ let run_point ~mode ~config ~spec domains =
         sink.Quantum.Metrics.solver_stats.Solver.Backtrack.candidates - cands0;
       phases;
       attributed_pct =
-        (if busy_basis > 0. then 100. *. phases_total_s phases /. busy_basis else 0.);
+        (if busy_s > 0. then 100. *. phases_total_s phases /. busy_s else 0.);
       parallelism_efficiency =
-        (if wall_s > 0. && actors > 0 && busy_s > 0. then
+        (if wall_s > 0. && actors > 0 then
            busy_s /. (wall_s *. float_of_int actors)
          else 0.);
     } )
@@ -201,11 +167,11 @@ let run_point ~mode ~config ~spec domains =
 (* Wall-clock stability: re-run each point [repeats] times and keep the
    fastest run's record (outcome counts are deterministic, so only the
    clock varies; minimum is the standard noise floor estimator). *)
-let run_point_best ~mode ~config ~spec ~repeats domains =
+let run_point_best ~config ~spec ~repeats domains =
   let rec go best n =
     if n = 0 then Option.get best
     else begin
-      let (_, p) as r = run_point ~mode ~config ~spec domains in
+      let (_, p) as r = run_point ~config ~spec domains in
       let best =
         match best with
         | Some (_, b) when b.wall_s <= p.wall_s -> best
@@ -216,7 +182,7 @@ let run_point_best ~mode ~config ~spec ~repeats domains =
   in
   go None (max 1 repeats)
 
-(* -- Contended companion series (actor mode) --------------------------------
+(* -- Contended companion series ------------------------------------------------
 
    The contention harness's regimes scaled down to the sweep's flight
    count: an over-capacity ticket crowd (14 travellers onto 9 seats per
@@ -260,7 +226,7 @@ let run_contended ~flights ~seed domains =
       })
     contended_regimes
 
-let run ?(mode = Actor) ?(domains_list = default_domains) ?(flights = 10) ?(rows = 50)
+let run ?(domains_list = default_domains) ?(flights = 10) ?(rows = 50)
     ?(pairs = 75) ?(seed = 1000) ?(k = 40) ?(repeats = 1) () =
   let config = { Qdb.default_config with Qdb.k; cache_capacity = 2 } in
   let spec = spec ~flights ~rows ~pairs ~seed in
@@ -274,7 +240,7 @@ let run ?(mode = Actor) ?(domains_list = default_domains) ?(flights = 10) ?(rows
     Fun.protect
       ~finally:(fun () -> if not flight_was_on then Flight.disable ())
       (fun () ->
-        let raw = List.map (run_point_best ~mode ~config ~spec ~repeats) domains_list in
+        let raw = List.map (run_point_best ~config ~spec ~repeats) domains_list in
         let contended = List.concat_map (run_contended ~flights ~seed) domains_list in
         (raw, contended))
   in
@@ -314,7 +280,6 @@ let run ?(mode = Actor) ?(domains_list = default_domains) ?(flights = 10) ?(rows
       contended_regimes
   in
   {
-    mode;
     flights;
     rows_per_flight = rows;
     pairs_per_flight = pairs;
@@ -331,8 +296,8 @@ let run ?(mode = Actor) ?(domains_list = default_domains) ?(flights = 10) ?(rows
 
 let print r =
   Common.section
-    (Printf.sprintf "Figure 7 scalability (%s mode): %d flights x %d seats, domain sweep"
-       (mode_to_string r.mode) r.flights (3 * r.rows_per_flight));
+    (Printf.sprintf "Figure 7 scalability (actor mode): %d flights x %d seats, domain sweep"
+       r.flights (3 * r.rows_per_flight));
   let rows =
     List.map
       (fun p ->
@@ -398,7 +363,9 @@ let json_of_recording r =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"qdb.bench.scaling/v3\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" (mode_to_string r.mode));
+  (* The only execution mode; the field stays so schema-v3 readers and
+     the committed baseline still compare. *)
+  Buffer.add_string b "  \"mode\": \"actor\",\n";
   (* [repeats] is a measurement knob, not workload shape — it lives
      outside the workload object so bench diff's field-for-field
      workload equality check does not couple CI's repeat count to the

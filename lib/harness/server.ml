@@ -23,12 +23,10 @@ type spec = {
   sessions : int;
   requests_per_session : int;
   target_hz : float;
-  domains : int;
   seed : int;
 }
 
-let default_spec =
-  { sessions = 4; requests_per_session = 400; target_hz = 800.; domains = 1; seed = 11 }
+let default_spec = { sessions = 4; requests_per_session = 400; target_hz = 800.; seed = 11 }
 
 type split = {
   count : int;
@@ -70,7 +68,7 @@ let flights_per_session spec =
 let geometry_for ~sessions ~requests_per_session =
   let fps =
     flights_per_session
-      { sessions; requests_per_session; target_hz = 0.; domains = 0; seed = 0 }
+      { sessions; requests_per_session; target_hz = 0.; seed = 0 }
   in
   { Flights.flights = sessions * fps; rows_per_flight = 1; dest = "LA" }
 
@@ -221,9 +219,7 @@ let one_run ~spec ~wal_path =
   if Sys.file_exists wal_path then Sys.remove wal_path;
   let backend = Wal.file_backend wal_path in
   let store = Flights.fresh_store ~backend (geometry_of spec) in
-  let config =
-    { Server.default_config with Server.domains = spec.domains; engine_queue = 1024 }
-  in
+  let config = { Server.default_config with Server.engine_queue = 1024 } in
   let server = Server.start ~config ~store (Server.Tcp ("127.0.0.1", 0)) in
   let connect () = Client.connect (Server.address server) in
   let tally, wall, _sent = run_sessions ~connect ~spec in
@@ -275,8 +271,8 @@ let print_split name s =
 
 let print r =
   Printf.printf
-    "server bench: %d session(s) x %d req @ %.0f Hz each, %d domain(s), seed %d\n"
-    r.spec.sessions r.spec.requests_per_session r.spec.target_hz r.spec.domains r.spec.seed;
+    "server bench: %d session(s) x %d req @ %.0f Hz each, seed %d\n"
+    r.spec.sessions r.spec.requests_per_session r.spec.target_hz r.spec.seed;
   Printf.printf
     "  outcomes: %d committed, %d rejected, %d overloaded, %d errors in %.2fs (%.0f req/s)\n"
     r.committed r.rejected r.overloaded r.errors r.wall_s r.achieved_hz;
@@ -295,11 +291,14 @@ let json_of_recording r =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"qdb.bench.server/v1\",\n";
+  (* "domains" is always 1: the engine runs on the server's loop thread.
+     The field stays because bench diff matches workload objects field
+     for field against the committed baseline. *)
   Buffer.add_string b
     (Printf.sprintf
        "  \"workload\": {\"sessions\": %d, \"requests_per_session\": %d, \"target_hz\": %.1f, \
-        \"domains\": %d, \"seed\": %d},\n"
-       r.spec.sessions r.spec.requests_per_session r.spec.target_hz r.spec.domains r.spec.seed);
+        \"domains\": 1, \"seed\": %d},\n"
+       r.spec.sessions r.spec.requests_per_session r.spec.target_hz r.spec.seed);
   Buffer.add_string b
     (Printf.sprintf "  \"deterministic\": %b,\n" r.deterministic);
   Buffer.add_string b
@@ -343,7 +342,7 @@ type load_stats = {
 }
 
 let load ~host ~port ~sessions ~requests_per_session ~target_hz ~seed =
-  let spec = { sessions; requests_per_session; target_hz; domains = 1; seed } in
+  let spec = { sessions; requests_per_session; target_hz; seed } in
   let connect () = Client.connect (Server.Tcp (host, port)) in
   let tally, wall, sent = run_sessions ~connect ~spec in
   {

@@ -22,12 +22,11 @@ type spec = {
   sessions : int;  (** concurrent connections; a band of flights each *)
   requests_per_session : int;
   target_hz : float;  (** per-session arrival rate *)
-  domains : int;  (** server-side Par pool size *)
   seed : int;
 }
 
 val default_spec : spec
-(** 4 sessions x 400 requests at 800 Hz each, 1 domain, seed 11 — past the
+(** 4 sessions x 400 requests at 800 Hz each, seed 11 — past the
     engine's sustained rate, so group-commit batches actually form. *)
 
 val geometry_for : sessions:int -> requests_per_session:int -> Workload.Flights.geometry

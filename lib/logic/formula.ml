@@ -169,8 +169,8 @@ let conjuncts = function
 (* Structurally equal subformulas collapse onto one shared node, so later
    [apply_subst]/[map_sharing] passes hit their physical-equality fast
    paths and repeated clauses cost one allocation.  The table is
-   per-domain ([Domain.DLS]): sharded engines and pool workers each intern
-   into their own table, so no synchronisation is needed — interning is
+   per-domain ([Domain.DLS]): engines on different actor domains each
+   intern into their own table, so no synchronisation is needed — interning is
    semantically the identity, only sharing differs across domains. *)
 let intern_table_key : (t, t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 1024)

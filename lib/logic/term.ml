@@ -14,8 +14,8 @@ type t =
   | V of var
   | C of Relational.Value.t
 
-(* Atomic so ids stay unique when independent engines mint variables from
-   pool worker domains (per-flight sharded workloads). *)
+(* Atomic so ids stay unique when independent engines mint variables on
+   different actor domains (per-flight workloads). *)
 let counter = Atomic.make 0
 
 let fresh_var name = { vname = name; vid = 1 + Atomic.fetch_and_add counter 1 }

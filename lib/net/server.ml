@@ -18,7 +18,6 @@ module Inbox = Conn.Inbox
 
 type config = {
   engine_config : Qdb.config;
-  domains : int;
   max_batch : int;
   session_buffer : int;
   engine_queue : int;
@@ -28,7 +27,6 @@ type config = {
 let default_config =
   {
     engine_config = Qdb.default_config;
-    domains = 1;
     max_batch = 64;
     session_buffer = 16;
     engine_queue = 256;
@@ -78,7 +76,6 @@ type t = {
   cfg : config;
   store : Store.t;
   qdb : Qdb.t;
-  pool : Par.Pool.t option;
   gc : Group_commit.t;
   queue : request Queue.t; (* decoded, awaiting the engine: at most [engine_queue] *)
   listen_fd : Unix.file_descr;
@@ -447,14 +444,12 @@ let start ?(config = default_config) ~store address =
   (* The group committer owns durability from here on: the loop decides
      when the WAL hits the disk, once per batch. *)
   Store.set_sync store Wal.Never;
-  let pool = if config.domains > 1 then Some (Par.Pool.create ~domains:config.domains ()) else None in
-  let qdb = Qdb.create ~config:config.engine_config ?pool store in
+  let qdb = Qdb.create ~config:config.engine_config store in
   let t =
     {
       cfg = config;
       store;
       qdb;
-      pool;
       gc = Group_commit.create ~sync:(fun () -> Store.sync store) ();
       queue = Queue.create ();
       listen_fd;
@@ -504,7 +499,6 @@ let stop t =
     (try ignore (Unix.write_substring t.wake_w "x" 0 1) with Unix.Unix_error _ -> ());
     wait t;
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ t.wake_r; t.wake_w ];
-    (match t.pool with Some p -> Par.Pool.shutdown p | None -> ());
     (match t.bound with
      | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
      | Tcp _ -> ())

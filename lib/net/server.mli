@@ -24,7 +24,6 @@
 
 type config = {
   engine_config : Quantum.Qdb.config;
-  domains : int;  (** Par pool size for solver fan-out; <= 1 runs inline *)
   max_batch : int;  (** group-commit batch cap per engine drain *)
   session_buffer : int;  (** per-session in-flight (unacked) request cap *)
   engine_queue : int;  (** decoded requests awaiting the engine, all sessions *)
@@ -32,7 +31,7 @@ type config = {
 }
 
 val default_config : config
-(** [engine_config = Quantum.Qdb.default_config], [domains = 1],
+(** [engine_config = Quantum.Qdb.default_config],
     [max_batch = 64], [session_buffer = 16], [engine_queue = 256],
     [max_payload = Frame.default_max_payload]. *)
 

@@ -44,8 +44,8 @@ let event_to_json (e : Trace.event) =
   Json.Obj (base @ phase @ args)
 
 (* Flow events ("s"/"f" pairs) drawing an arrow from a parent span to each
-   child recorded on a DIFFERENT domain — the cross-domain hops (pool
-   fan-out → worker job) that a per-track view would otherwise hide. *)
+   child recorded on a DIFFERENT domain — the cross-domain hops (driver
+   span → actor task) that a per-track view would otherwise hide. *)
 let flow_events events =
   let tid_of = Hashtbl.create 64 in
   List.iter

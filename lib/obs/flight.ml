@@ -7,7 +7,7 @@
      time spent in phases nested inside it, so the per-phase totals are a
      partition of instrumented wall time and never double count (the
      engine's Ground solve runs inside the Ground wrapper but accrues to
-     Solve, not to both).  Totals are process-global atomics — worker
+     Solve, not to both).  Totals are process-global atomics — actor
      domains accrue concurrently — and each domain keeps its own frame
      stack in DLS, so attribution is race-free without locks.
 
@@ -29,12 +29,13 @@ type phase =
   | Solve (* unseeded/seeded solver search (admission, refill, recheck, ground) *)
   | Wal (* store applies: pending-table inserts, grounding batches *)
   | Ground (* grounding orchestration around its solves and WAL writes *)
-  | Freeze (* snapshotting partition state for worker jobs *)
-  | Queue (* pool queue wait: enqueue to dequeue *)
-  | Compute (* worker-side shard/job execution not otherwise attributed *)
-  | Merge (* result recombination on the orchestrating domain *)
-  | Install (* installing worker results into caches *)
-  | Coordination (* fan-out orchestration: planning, waiting on the pool *)
+  | Freeze (* snapshotting partition bodies for cache-refill jobs *)
+  | Queue (* queue wait: enqueue to dequeue (no producer since the domain
+             pool was retired; actor mailbox wait is not recorded here) *)
+  | Compute (* actor task execution not otherwise attributed *)
+  | Merge (* result recombination on the driver *)
+  | Install (* installing refill/recheck results into caches *)
+  | Coordination (* refill/recheck rounds: planning and per-partition jobs *)
   | Governor (* admission-budget ladder: retries, backoff, degradation *)
 
 let n_phases = 12
@@ -94,8 +95,8 @@ let max_slow_dumps = 8
 
 let totals_ns : int Atomic.t array = Array.init n_phases (fun _ -> Atomic.make 0)
 
-(* Ring of per-admission records, shared across domains (run_sharded
-   admits from workers); same locking shape as the trace ring. *)
+(* Ring of per-admission records, shared across domains (actors admit
+   concurrently); same locking shape as the trace ring. *)
 let ring : record option array ref = ref [||]
 let total = ref 0
 let slow_ns = ref default_slow_ns

@@ -14,12 +14,15 @@ type phase =
   | Solve  (** solver search: admission, refill, recheck, ground *)
   | Wal  (** store applies: pending-table inserts, grounding batches *)
   | Ground  (** grounding orchestration around its solves and WAL writes *)
-  | Freeze  (** snapshotting partition state for worker jobs *)
-  | Queue  (** pool queue wait: enqueue to dequeue *)
-  | Compute  (** worker-side shard/job execution not otherwise attributed *)
-  | Merge  (** result recombination on the orchestrating domain *)
-  | Install  (** installing worker results into caches *)
-  | Coordination  (** fan-out orchestration: planning, waiting on the pool *)
+  | Freeze  (** snapshotting partition bodies for cache-refill jobs *)
+  | Queue
+      (** queue wait: enqueue to dequeue.  Nothing produces it since the
+          domain pool was retired; actor mailbox wait is not recorded
+          here yet. *)
+  | Compute  (** actor task execution not otherwise attributed *)
+  | Merge  (** result recombination on the driver *)
+  | Install  (** installing refill/recheck results into caches *)
+  | Coordination  (** refill/recheck rounds: planning and per-partition jobs *)
   | Governor  (** admission-budget ladder: retries, backoff, degradation *)
 
 val phase_name : phase -> string

@@ -11,13 +11,13 @@
 
    Causality: every span gets a process-unique id and records the id of
    the span that was current on its domain when it started.  [capture] /
-   [with_ctx] carry that "current span" across a domain-pool hop, so a
-   worker-side solve is parented to the orchestrator-side fan-out span
-   that scheduled it, and each event's [tid] (the recording domain) puts
-   it on the right track in the Chrome trace.
+   [with_ctx] carry that "current span" across an actor-mailbox hop, so
+   an actor-side task is parented to the driver-side span that sent it,
+   and each event's [tid] (the recording domain) puts it on the right
+   track in the Chrome trace.
 
-   The ring is shared mutable state, and solver work may record events
-   from pool worker domains, so the slow path ([record]/[events]) is
+   The ring is shared mutable state, and engine work records events from
+   actor domains, so the slow path ([record]/[events]) is
    mutex-protected; the [on ()] fast path stays a lock-free flag read,
    and the per-domain current-span cell is domain-local (DLS), touched
    without any lock. *)

@@ -8,8 +8,8 @@
     Every span carries a process-unique [id], the [parent] span that was
     current on its domain when it started, and the recording domain as
     [tid] — enough to reconstruct the causal tree even when solver work
-    hops to pool worker domains ([capture]/[with_ctx] carry the parent
-    across the hop). *)
+    hops to actor domains ([capture]/[with_ctx] carry the parent across
+    the hop). *)
 
 type arg =
   | Int of int

@@ -206,14 +206,14 @@ let revalidate t db formula =
     true
   end
 
-(* -- Split compute/install phases (domain-parallel fan-out) ---------------
+(* -- Split compute/install phases (fault atomicity) -------------------------
 
-   Refills and blind-write re-checks are the solver work the engine fans
-   out across partitions: the *compute* half is pure — it reads only the
-   database, an immutable job description and a caller-supplied stats
-   record, so it can run on a worker domain against a frozen partition
-   view — while the *install* half mutates the cache and runs on the
-   orchestrating thread, in deterministic partition order. *)
+   Refills and blind-write re-checks run over several partitions, and
+   the engine computes every partition's outcome before installing any:
+   a failure part-way leaves every cache untouched.  The *compute* half
+   is pure — it reads only the database, an immutable job description
+   and a caller-supplied stats record — while the *install* half mutates
+   the cache, in deterministic partition order. *)
 
 (* Canonical form of a witness for equality: bindings sorted by variable
    id, so two substitutions with the same content compare equal whatever

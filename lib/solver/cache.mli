@@ -109,12 +109,14 @@ val refill : ?node_limit:int -> t -> Relational.Database.t -> Logic.Formula.t ->
 
 (** {2 Split compute/install phases}
 
-    The engine fans refills and blind-write re-checks out across
-    partitions on a domain pool.  The [*_compute] half is pure — it
-    reads only the database, an immutable job and the caller-supplied
-    [stats] record, so it may run on a worker domain — while the
-    [*_install] half mutates the cache and must run on the orchestrating
-    thread, in deterministic partition order. *)
+    The engine refills every partition's cache, and re-checks every
+    partition a blind write touches, by computing all outcomes first and
+    installing them only after every one succeeded: a failure part-way
+    (a solver exception, an injected fault) then abandons a refill
+    wholesale and installs nothing for a refused write.  The [*_compute]
+    half is pure — it reads only the database, an immutable job and the
+    caller-supplied [stats] record — while the [*_install] half mutates
+    the cache, in deterministic partition order. *)
 
 type refill_job
 

@@ -1,14 +1,15 @@
 (* Engine-wide chaos harness: deterministic fault injection beyond the
    WAL (the crash monkey's territory) — solver-budget exhaustion through
-   squeezed governors, pool-worker exceptions mid-fan-out (cache refills,
-   blind-write rechecks), and the survival contract that goes with them:
+   squeezed governors, job exceptions mid-refill and mid-recheck (cache
+   refills, blind-write rechecks), and the survival contract that goes
+   with them:
 
    - the engine absorbs every injected fault: no poisoned partition, no
      half-applied write, the composed-satisfiability invariant intact and
      the next submission served normally;
-   - outcomes are bit-identical at 1, 2 and 4 domains — fault schedules
-     are pure hashes of orchestrator-side coordinates, never of where a
-     job happened to run;
+   - outcomes are bit-identical inline and routed through 1, 2 and 4
+     actors — fault schedules are pure hashes of engine-side
+     coordinates, never of which domain ran a job;
    - a squeezed admission that says [Rejected] means it: resubmitting
      with the default governor must reject again (a commit would mean an
      exhaustion was misreported as a semantic no);
@@ -53,28 +54,30 @@ type summary = {
   violations : (int * string) list; (* (cycle, what broke) *)
 }
 
-(* In actor mode ([actors]) every engine call round-trips through the
-   owning actor on a real spawned domain (clamp off), while the schedule
-   PRNG stays on the orchestrator — the event trace must be identical to
-   the inline run, which is how the harness proves fault schedules are
-   pure functions of orchestrator-side coordinates in actor mode too. *)
-let run_cycle ?pool ?actors ~seed () =
+(* In actor mode ([actors]) every engine call round-trips through an
+   actor (clamp off, so with 2 or more actors each one is a real spawned
+   domain), call i on actor i mod n: consecutive operations of the one
+   engine land on different domains.  The schedule PRNG stays on the
+   orchestrator, and the event trace must be identical to the inline
+   run — which is how the harness proves fault schedules never depend
+   on where a job ran. *)
+let run_cycle ?actors ~seed () =
   let rng = Prng.create seed in
   let geometry =
     { Flights.flights = 1; rows_per_flight = 2 + Prng.int rng 2; dest = "LA" }
   in
   let store = Flights.fresh_store geometry in
-  (* capacity > 1 so commits trigger the refill fan-out the injector
+  (* capacity > 1 so commits trigger the cache refills the injector
      targets; everything else is the default engine. *)
   let config = { Qdb.default_config with Qdb.cache_capacity = 3 } in
-  let qdb = Qdb.create ~config ?pool store in
+  let qdb = Qdb.create ~config store in
   let plan =
     { Fault.chaos_seed = seed lxor 0xC4A05; refill_rate = 0.25; recheck_rate = 0.4 }
   in
   Qdb.set_fault_injector qdb (Fault.injector plan);
   (* The squeeze: a node budget far below what contended admissions need,
      with a flat escalation so retries cannot save it.  No deadline — the
-     wall clock would break cross-domain determinism. *)
+     wall clock would break replay determinism. *)
   let squeeze_gov =
     Governor.make ~node_budget:(1 + Prng.int rng 40) ~max_retries:1 ~escalation:1 ()
   in
@@ -84,9 +87,12 @@ let run_cycle ?pool ?actors ~seed () =
       Some (Actor.Runtime.create ~clamp:false ~actors:n ~make:(fun _ -> ()) ())
     | _ -> None
   in
+  let calls = ref 0 in
   let exec f =
     match rt with
-    | Some rt -> Actor.Runtime.call rt ~key:0 (fun () -> f ())
+    | Some rt ->
+      calls := (!calls + 1) mod Actor.Runtime.live rt;
+      Actor.Runtime.call rt ~key:!calls (fun () -> f ())
     | None -> f ()
   in
   let events = ref [] in
@@ -191,68 +197,64 @@ let run_cycle ?pool ?actors ~seed () =
     violations = List.rev !violations;
   }
 
+(* Actor counts each cycle is replayed at: 1 runs on the runtime's
+   inline path, 2 and 4 on real spawned domains. *)
+let replay_actors = [ 1; 2; 4 ]
+
 let run ?(cycles = 100) ?(seed = 1234) () =
-  let pool2 = Par.Pool.create ~domains:2 () in
-  let pool4 = Par.Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () ->
-      Par.Pool.shutdown pool2;
-      Par.Pool.shutdown pool4)
-    (fun () ->
-      let acc =
-        ref
-          {
-            cycles = 0;
-            submissions = 0;
-            committed = 0;
-            rejected = 0;
-            overloaded = 0;
-            squeezed = 0;
-            refill_faults = 0;
-            write_aborts = 0;
-            groundings = 0;
-            determinism_checks = 0;
-            violations = [];
-          }
-      in
-      for cycle = 0 to cycles - 1 do
-        let cycle_seed = seed + (cycle * 6151) in
-        let o1 = run_cycle ~seed:cycle_seed () in
-        let o2 = run_cycle ~pool:pool2 ~seed:cycle_seed () in
-        let o4 = run_cycle ~pool:pool4 ~seed:cycle_seed () in
-        let oa = run_cycle ~actors:2 ~seed:cycle_seed () in
-        let cycle_violations =
-          ref (o1.violations @ o2.violations @ o4.violations @ oa.violations)
-        in
-        if o1.events <> o2.events then
-          cycle_violations := "events diverge between 1 and 2 domains" :: !cycle_violations;
-        if o1.events <> o4.events then
-          cycle_violations := "events diverge between 1 and 4 domains" :: !cycle_violations;
-        if o1.events <> oa.events then
-          cycle_violations :=
-            "events diverge between inline and actor-routed runs" :: !cycle_violations;
-        let s = !acc in
-        acc :=
-          {
-            cycles = s.cycles + 1;
-            submissions = s.submissions + o1.submissions;
-            committed = s.committed + o1.committed;
-            rejected = s.rejected + o1.rejected;
-            overloaded = s.overloaded + o1.overloaded;
-            squeezed = s.squeezed + o1.squeezed;
-            refill_faults = s.refill_faults + o1.refill_faults;
-            write_aborts = s.write_aborts + o1.write_aborts;
-            groundings = s.groundings + o1.groundings;
-            determinism_checks = s.determinism_checks + 3;
-            violations =
-              s.violations @ List.map (fun v -> (cycle, v)) !cycle_violations;
-          }
-      done;
-      !acc)
+  let acc =
+    ref
+      {
+        cycles = 0;
+        submissions = 0;
+        committed = 0;
+        rejected = 0;
+        overloaded = 0;
+        squeezed = 0;
+        refill_faults = 0;
+        write_aborts = 0;
+        groundings = 0;
+        determinism_checks = 0;
+        violations = [];
+      }
+  in
+  for cycle = 0 to cycles - 1 do
+    let cycle_seed = seed + (cycle * 6151) in
+    (* The inline run is the reference; each actor replay must match it. *)
+    let reference = run_cycle ~seed:cycle_seed () in
+    let replays =
+      List.map (fun actors -> (actors, run_cycle ~actors ~seed:cycle_seed ())) replay_actors
+    in
+    let cycle_violations =
+      reference.violations
+      @ List.concat_map (fun (_, (o : cycle_outcome)) -> o.violations) replays
+      @ List.filter_map
+          (fun (actors, (o : cycle_outcome)) ->
+            if o.events = reference.events then None
+            else Some (Printf.sprintf "events diverge between inline and %d-actor runs" actors))
+          replays
+    in
+    let s = !acc in
+    acc :=
+      {
+        cycles = s.cycles + 1;
+        submissions = s.submissions + reference.submissions;
+        committed = s.committed + reference.committed;
+        rejected = s.rejected + reference.rejected;
+        overloaded = s.overloaded + reference.overloaded;
+        squeezed = s.squeezed + reference.squeezed;
+        refill_faults = s.refill_faults + reference.refill_faults;
+        write_aborts = s.write_aborts + reference.write_aborts;
+        groundings = s.groundings + reference.groundings;
+        determinism_checks = s.determinism_checks + List.length replays;
+        violations = s.violations @ List.map (fun v -> (cycle, v)) cycle_violations;
+      }
+  done;
+  !acc
 
 let pp fmt s =
   Format.fprintf fmt
-    "@[<v>%d cycle(s) x {1,2,4} domains + actor replay: %d submission(s) — %d committed, %d \
+    "@[<v>%d cycle(s) x {inline, 1, 2, 4 actors}: %d submission(s) — %d committed, %d \
      rejected, %d overloaded@,\
      %d squeezed admission(s); %d refill fault(s) absorbed, %d write abort(s)@,\
      %d grounding(s); %d determinism check(s); %d violation(s)@]"

@@ -1,9 +1,10 @@
 (** Engine-wide chaos harness: deterministic injection of solver-budget
-    exhaustion (squeezed governors), pool-worker exceptions mid-fan-out
-    (cache refills, blind-write rechecks), with the survival contract:
-    the engine absorbs every fault, outcomes replay bit-identically at
-    1/2/4 domains, a squeezed [Rejected] re-rejects under the default
-    governor, and [Overloaded] leaves the pending set untouched. *)
+    exhaustion (squeezed governors), job exceptions mid-refill and
+    mid-recheck (cache refills, blind-write rechecks), with the survival
+    contract: the engine absorbs every fault, outcomes replay
+    bit-identically inline and routed through 1/2/4 actors, a squeezed
+    [Rejected] re-rejects under the default governor, and [Overloaded]
+    leaves the pending set untouched. *)
 
 type cycle_outcome = {
   events : string list;  (** compact event trace — the determinism fingerprint *)
@@ -32,17 +33,18 @@ type summary = {
   violations : (int * string) list;  (** (cycle, what broke) *)
 }
 
-val run_cycle : ?pool:Par.Pool.t -> ?actors:int -> seed:int -> unit -> cycle_outcome
+val run_cycle : ?actors:int -> seed:int -> unit -> cycle_outcome
 (** One reproducible chaos cycle: fresh engine over a small scarce travel
     fixture, PRNG-scheduled submissions (a quarter squeezed), blind
-    writes and groundings, fault injection on every fan-out kind.  With
-    [actors], every engine call round-trips through an owning actor on a
-    real spawned domain ({!Actor.Runtime.call}, unclamped) while the
-    schedule PRNG stays on the orchestrator. *)
+    writes and groundings, fault injection on every refill and recheck.
+    With [actors], every engine call round-trips through an actor
+    ({!Actor.Runtime.call}, unclamped), call i on actor i mod [actors],
+    so at 2 or more actors consecutive calls run on different spawned
+    domains; the schedule PRNG stays on the orchestrator. *)
 
 val run : ?cycles:int -> ?seed:int -> unit -> summary
-(** Run [cycles] cycles, each at 1, 2 and 4 domains plus an actor-routed
-    replay, comparing the event traces bit-for-bit.  Pools are created
-    once and reused. *)
+(** Run [cycles] cycles, each inline (the reference, whose counts the
+    summary totals) and replayed through 1, 2 and 4 actors, comparing
+    the event traces bit-for-bit: three determinism checks per cycle. *)
 
 val pp : Format.formatter -> summary -> unit

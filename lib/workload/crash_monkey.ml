@@ -108,7 +108,7 @@ type cycle_outcome = {
    injected [Fault.Crash] propagates across the domain boundary to the
    driver and that WAL append ordering — what the recovery contract
    checks — is unaffected by which domain ran the engine. *)
-let run_cycle ?pool ?actors ?(backend = Qdb.Backtracking) ~seed () =
+let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
   let engine_backend = backend in
   let rng = Prng.create seed in
   let fault_rng = Prng.create (seed lxor 0x5EED5EED) in
@@ -120,12 +120,12 @@ let run_cycle ?pool ?actors ?(backend = Qdb.Backtracking) ~seed () =
     { Flights.flights = 1; rows_per_flight = 2 + Prng.int rng 2; dest = "LA" }
   in
   let store = Flights.fresh_store ~backend geometry in
-  (* Under a pool, exercise the parallel cache-refill fan-out on every
-     commit (capacity > 1) — the WAL ordering the recovery contract
-     checks must be unaffected by where solver work ran. *)
+  (* In actor mode, also refill the cache on every commit (capacity > 1),
+     so crashes land between refills too — the WAL ordering the recovery
+     contract checks must be unaffected by the solver work around it. *)
   let config =
     let base =
-      match pool with
+      match actors with
       | Some _ -> { Qdb.default_config with Qdb.cache_capacity = 3 }
       | None -> Qdb.default_config
     in
@@ -137,7 +137,7 @@ let run_cycle ?pool ?actors ?(backend = Qdb.Backtracking) ~seed () =
       { base with Qdb.backend = Qdb.Sat_backend; Qdb.check_inserts = false }
     | b -> { base with Qdb.backend = b }
   in
-  let qdb = Qdb.create ~config ?pool store in
+  let qdb = Qdb.create ~config store in
   (* Fault schedule: arm only after the fixture is built, so the crash
      always lands inside the measured workload. *)
   let damage =
@@ -223,7 +223,7 @@ let run_cycle ?pool ?actors ?(backend = Qdb.Backtracking) ~seed () =
   in
   { crashed = !crashed; damage; flipped_mid_log; kept; dropped; violation }
 
-let run ?(cycles = 200) ?(seed = 42) ?pool ?actors ?backend () =
+let run ?(cycles = 200) ?(seed = 42) ?actors ?backend () =
   let acc =
     ref
       {
@@ -240,7 +240,7 @@ let run ?(cycles = 200) ?(seed = 42) ?pool ?actors ?backend () =
       }
   in
   for cycle = 0 to cycles - 1 do
-    let o = run_cycle ?pool ?actors ?backend ~seed:(seed + (cycle * 7919)) () in
+    let o = run_cycle ?actors ?backend ~seed:(seed + (cycle * 7919)) () in
     let s = !acc in
     acc :=
       {
@@ -290,8 +290,8 @@ let pp fmt s =
    - the composed-satisfiability invariant holds after recovery.
 
    Which admissions end up acked depends on scheduling (batch formation
-   races the crash), but the contract must hold at every interleaving
-   and every domain count — that is what makes it a contract. *)
+   races the crash), but the contract must hold at every interleaving —
+   that is what makes it a contract. *)
 
 module Server = Net.Server
 module Client = Net.Client
@@ -356,7 +356,7 @@ let drive_session addr ~seed users =
   Client.close client;
   (sent, List.rev !acks)
 
-let run_server_cycle ~seed ~domains () =
+let run_server_cycle ~seed () =
   let rng = Prng.create seed in
   let buf_rng = Prng.create (seed lxor 0xF100F5) in
   let pristine = Wal.mem_backend () in
@@ -367,9 +367,7 @@ let run_server_cycle ~seed ~domains () =
   let store = Flights.fresh_store ~backend geometry in
   backend.Wal.flush ();
   (* fixture durable before any fault is armed *)
-  let config =
-    { Server.default_config with Server.domains; max_batch = 8; session_buffer = 16 }
-  in
+  let config = { Server.default_config with Server.max_batch = 8; session_buffer = 16 } in
   let server = Server.start ~config ~store (Server.Tcp ("127.0.0.1", 0)) in
   let addr = Server.address server in
   let damage =
@@ -441,7 +439,7 @@ let run_server_cycle ~seed ~domains () =
   in
   (crashed, List.length acked_labels, lost_unacked, batches, violation)
 
-let run_server ?(cycles = 20) ?(seed = 77) ?(domains = 1) () =
+let run_server ?(cycles = 20) ?(seed = 77) () =
   let acc =
     ref
       {
@@ -455,7 +453,7 @@ let run_server ?(cycles = 20) ?(seed = 77) ?(domains = 1) () =
   in
   for cycle = 0 to cycles - 1 do
     let crashed, acked, lost, batches, violation =
-      run_server_cycle ~seed:(seed + (cycle * 7919)) ~domains ()
+      run_server_cycle ~seed:(seed + (cycle * 7919)) ()
     in
     let s = !acc in
     acc :=

@@ -28,19 +28,18 @@ type summary = {
 val run :
   ?cycles:int ->
   ?seed:int ->
-  ?pool:Par.Pool.t ->
   ?actors:int ->
   ?backend:Quantum.Qdb.solver_backend ->
   unit ->
   summary
-(** Defaults: 200 cycles, seed 42.  With [pool], each cycle's engine
-    runs its cache-refill fan-out across the pool (capacity 3, so the
-    fan-out actually fires) — proving WAL ordering and the recovery
-    contract are unaffected by where solver work ran.  With [actors],
-    every post-fixture engine operation instead round-trips through an
-    owning actor on a real spawned domain ({!Actor.Runtime.call},
-    unclamped), proving the injected crash propagates across the domain
-    boundary and the recovery contract holds in actor mode too.  [backend]
+(** Defaults: 200 cycles, seed 42.  With [actors], every post-fixture
+    engine operation round-trips through an owning actor on a real
+    spawned domain ({!Actor.Runtime.call}, unclamped), proving the
+    injected crash propagates across the domain boundary and the
+    recovery contract holds in actor mode too; the engine there also
+    refills its cache on every commit (capacity 3), so crashes land
+    between refills and WAL ordering is shown not to depend on the
+    solver work around it.  [backend]
     selects the admission backend under fault injection (default
     {!Qdb.Backtracking}); {!Qdb.Sat_backend} drives the incremental CDCL
     session through every crash/recovery cycle, with insert-safety checks
@@ -73,10 +72,9 @@ type server_summary = {
   srv_violations : (int * string) list;  (** (cycle, what broke) — must be [] *)
 }
 
-val run_server : ?cycles:int -> ?seed:int -> ?domains:int -> unit -> server_summary
-(** Defaults: 20 cycles, seed 77, 1 domain.  Which admissions end up
-    acked depends on scheduling (batch formation races the crash), but
-    the contract must hold at every interleaving and every domain
-    count. *)
+val run_server : ?cycles:int -> ?seed:int -> unit -> server_summary
+(** Defaults: 20 cycles, seed 77.  Which admissions end up acked depends
+    on scheduling (batch formation races the crash), but the contract
+    must hold at every interleaving. *)
 
 val pp_server : Format.formatter -> server_summary -> unit

@@ -213,15 +213,15 @@ let write_buffered rng (inner : Wal.backend) =
 (* -- Engine-level fault injection ------------------------------------------
 
    Beyond storage, the chaos harness injects faults into the engine's
-   parallel fan-outs through [Qdb.set_fault_injector]: a pool-worker job
-   raising mid-flight during a cache refill or a blind-write recheck.
-   The decision for each job is a pure hash of (seed, kind, fan-out
-   sequence number, job index) — no mutable PRNG state — so a schedule
-   is identical however the jobs are spread across domains, which is
-   exactly what the bit-identical 1/2/4-domain oracle requires. *)
+   per-partition refill and recheck jobs through [Qdb.set_fault_injector]:
+   a job raising mid-flight during a cache refill or a blind-write
+   recheck.  The decision for each job is a pure hash of (seed, kind,
+   fan-out sequence number, job index) — no mutable PRNG state — so a
+   schedule is identical whichever domain runs the engine, which is
+   exactly what the bit-identical inline-vs-actor oracle requires. *)
 
 exception Injected of string
-(* A simulated pool-worker crash.  The engine must absorb it: refills are
+(* A simulated job crash.  The engine must absorb it: refills are
    abandoned wholesale, write revalidations refuse conservatively. *)
 
 type engine_plan = {

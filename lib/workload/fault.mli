@@ -77,13 +77,13 @@ val write_buffered : Prng.t -> Relational.Wal.backend -> flush_handle * Relation
 
 (** {1 Engine-level fault injection}
 
-    Faults inside the engine's parallel fan-outs, delivered through
-    [Qdb.set_fault_injector].  Each job's fate is a pure hash of
-    [(seed, kind, fanout, job)] — no mutable PRNG — so a fault schedule
-    is identical at any domain count. *)
+    Faults inside the engine's per-partition refill and recheck jobs,
+    delivered through [Qdb.set_fault_injector].  Each job's fate is a
+    pure hash of [(seed, kind, fanout, job)] — no mutable PRNG — so a
+    fault schedule is identical whichever domain runs the engine. *)
 
 exception Injected of string
-(** A simulated pool-worker crash mid-fan-out. *)
+(** A simulated job crash mid-refill or mid-recheck. *)
 
 type engine_plan = {
   chaos_seed : int;

@@ -97,162 +97,29 @@ let build_ops spec rng =
     ordered;
   (List.rev !ops, ordered)
 
-(* -- Sharded execution (Figure 7, domain-parallel admission) ----------------
+(* -- Actor execution (shared-nothing partition owners) ----------------------
 
    Flights are independent by construction — [Travel.entangled_txn] binds
    the flight as a constant and optional atoms carry no dependence — so
    the engine's independent-set partitioning never groups transactions
    across flights, and each flight's admission stream can run on its own
-   engine, concurrently.  [run_sharded] builds the SAME global operation
-   stream as [run] (same seed, same PRNG consumption), splits it by
-   flight preserving per-flight order, executes every shard on a private
-   store + engine (on the pool when given), and recombines the
-   measurements on the calling thread in flight order — so the admission
-   outcomes, groundings and coordination are identical at any pool size,
-   and match what one engine computes for the same stream.
+   engine, concurrently.  One long-lived actor domain owns each flight
+   group end-to-end — store, engine, admission, grounding, WAL — and the
+   driver only routes operations to owners, op by op, through bounded
+   mailboxes.  Nothing waits on a centralized queue; backpressure is a
+   full mailbox blocking the driver.
+
+   Outcome identity: the global stream and PRNG consumption are shared
+   with [run] via [build_ops], and per-owner mailbox FIFO preserves each
+   flight's sub-order, so every group sees exactly the operations [run]
+   applies to that flight's partitions.  Admission outcomes and
+   coordination therefore match [run]'s one engine — and are identical
+   across actor counts, since a group's stream does not depend on which
+   actor owns it.
 
    Not carried over from [run]: [cumulative_ms] (empty — per-op wall
-   clock interleaves across shards) and [max_pending] becomes the max
-   over shards rather than a global count. *)
-let run_sharded ?pool ?collect engine spec =
-  let rng = Prng.create spec.seed in
-  let ops, users = build_ops spec rng in
-  (* Split by flight, preserving each flight's sub-order. *)
-  let by_flight = Hashtbl.create 16 in
-  let flight_ids = ref [] in
-  List.iter
-    (fun op ->
-      let u = match op with Book u | Read_seat u -> u in
-      let f = u.Travel.flight in
-      (match Hashtbl.find_opt by_flight f with
-       | Some ops -> Hashtbl.replace by_flight f (op :: ops)
-       | None ->
-         flight_ids := f :: !flight_ids;
-         Hashtbl.replace by_flight f [ op ]))
-    ops;
-  let shards =
-    List.map
-      (fun f -> (f, List.rev (Hashtbl.find by_flight f)))
-      (List.sort Int.compare !flight_ids)
-  in
-  let start = Obs.Mclock.now_ns () in
-  let run_shard (flight, shard_ops) =
-    (* Compute phase: the whole per-flight admission stream, wherever it
-       runs (worker domain or the caller helping drain).  The engine's
-       own instrumentation carves compose/cache/solve/wal/ground out of
-       it, leaving shard-level self time = store setup + op dispatch. *)
-    Obs.Flight.time Obs.Flight.Compute @@ fun () ->
-    Obs.Trace.span ~cat:"shard"
-      ~args:(fun () ->
-        [ ("flight", Obs.Trace.Int flight); ("ops", Obs.Trace.Int (List.length shard_ops)) ])
-      "shard.run"
-    @@ fun () ->
-    let store = Flights.fresh_store spec.geometry in
-    let committed = ref 0 and rejected = ref 0 in
-    let max_pending = ref 0 in
-    let time_reads = ref 0. and time_updates = ref 0. in
-    let qdb =
-      match engine with
-      | Quantum_engine config -> Some (Qdb.create ~config store)
-      | Intelligent_social -> None
-    in
-    List.iter
-      (fun op ->
-        let op_start = Obs.Mclock.now_ns () in
-        (match op, qdb with
-         | Book user, Some qdb ->
-           (match Qdb.submit qdb (Travel.entangled_txn user) with
-            | Qdb.Committed _ -> incr committed
-            | Qdb.Rejected _ | Qdb.Overloaded _ -> incr rejected);
-           max_pending := max !max_pending (Qdb.pending_count qdb)
-         | Book user, None ->
-           if Travel.is_book store user then incr committed else incr rejected
-         | Read_seat user, Some qdb -> ignore (Qdb.read qdb (Travel.seat_query user))
-         | Read_seat user, None ->
-           ignore (Solver.Query.all (Store.db store) (Travel.seat_query user)));
-        let dt = Obs.Mclock.elapsed_s op_start in
-        match op with
-        | Book _ -> time_updates := !time_updates +. dt
-        | Read_seat _ -> time_reads := !time_reads +. dt)
-      shard_ops;
-    (match qdb with
-     | Some qdb -> ignore (Qdb.ground_all qdb)
-     | None -> ());
-    let metrics = Option.map Qdb.metrics qdb in
-    (flight, store, metrics, !committed, !rejected, !max_pending, !time_reads, !time_updates)
-  in
-  let results =
-    match pool with
-    | Some pool when Par.Pool.size pool > 1 -> Par.Pool.map pool run_shard shards
-    | Some _ | None -> List.map run_shard shards
-  in
-  let total_time_s = Obs.Mclock.elapsed_s start in
-  (* Recombination on the calling thread, in flight order: metrics merge
-     into the process-wide sink, per-shard coordination accounting, and
-     the caller's database inspection hook. *)
-  let committed = ref 0 and rejected = ref 0 in
-  let max_pending = ref 0 in
-  let time_reads = ref 0. and time_updates = ref 0. in
-  let coordinated = ref 0 and max_possible = ref 0 in
-  Obs.Flight.time Obs.Flight.Merge @@ fun () ->
-  Obs.Trace.span ~cat:"shard"
-    ~args:(fun () -> [ ("shards", Obs.Trace.Int (List.length results)) ])
-    "shard.merge"
-  @@ fun () ->
-  List.iter
-    (fun (flight, store, metrics, c, r, mp, tr, tu) ->
-      (match metrics with
-       | Some m -> Quantum.Metrics.merge ~into:metrics_sink m
-       | None -> ());
-      committed := !committed + c;
-      rejected := !rejected + r;
-      max_pending := max !max_pending mp;
-      time_reads := !time_reads +. tr;
-      time_updates := !time_updates +. tu;
-      let db = Store.db store in
-      let shard_users = List.filter (fun u -> u.Travel.flight = flight) users in
-      coordinated := !coordinated + Travel.coordinated_users db shard_users;
-      max_possible := !max_possible + Travel.max_coordination spec.geometry shard_users;
-      match collect with
-      | Some f -> f ~flight db
-      | None -> ())
-    results;
-  {
-    cumulative_ms = [||];
-    total_time_s;
-    committed = !committed;
-    rejected = !rejected;
-    coordinated = !coordinated;
-    max_possible = !max_possible;
-    coordination_pct =
-      (if !max_possible = 0 then 0.
-       else 100. *. float_of_int !coordinated /. float_of_int !max_possible);
-    max_pending = !max_pending;
-    time_reads_s = !time_reads;
-    time_updates_s = !time_updates;
-    ops = List.length ops;
-  }
-
-(* -- Actor execution (shared-nothing partition owners) ----------------------
-
-   The sharded runner above still orchestrates from the calling thread:
-   every flight's whole stream is one pool job, and the enqueue→dequeue
-   wait of those giant jobs is what the Figure-7 sweep measured as 179 s
-   of queue time against a 43 s wall.  [run_actors] inverts the
-   ownership: one long-lived actor domain owns each flight group
-   end-to-end — store, engine, admission, grounding, WAL — and the
-   driver only routes operations to owners, op by op, through bounded
-   mailboxes.  Nothing is enqueued per flight; nothing waits on a
-   centralized queue; backpressure is a full mailbox blocking the
-   driver.
-
-   Outcome identity: each group runs the SAME per-flight op sequence
-   against the same fresh store + engine as a [run_sharded] shard (the
-   global stream and PRNG consumption are shared via [build_ops], and
-   per-owner mailbox FIFO preserves per-flight order), so admission
-   outcomes are bit-identical to [run_sharded] — and across actor
-   counts, since a group's stream does not depend on which actor owns
-   it. *)
+   clock interleaves across actors) and [max_pending] becomes the max
+   over groups rather than a global count. *)
 
 type group = {
   g_flight : int;
@@ -339,21 +206,25 @@ let run_actors ?mailbox_capacity ?clamp ?collect ~actors engine spec =
     | Read_seat _ -> g.g_time_reads <- g.g_time_reads +. dt
   in
   (* Route the global stream op by op; per-owner FIFO keeps each flight's
-     sub-order. *)
-  List.iter
-    (fun op ->
-      let u = match op with Book u | Read_seat u -> u in
-      Actor.Runtime.post rt ~key:u.Travel.flight (fun g -> apply g op))
-    ops;
-  (* Deferred assignments ground at the end, on their owners. *)
-  List.iter
-    (fun f ->
-      Actor.Runtime.post rt ~key:f (fun g ->
-          match g.g_qdb with
-          | Some qdb -> ignore (Qdb.ground_all qdb)
-          | None -> ()))
-    flights;
-  Actor.Runtime.drain rt;
+     sub-order.  Under tracing, actor-side spans parent to this one. *)
+  (Obs.Trace.span ~cat:"shard"
+     ~args:(fun () -> [ ("ops", Obs.Trace.Int (List.length ops)) ])
+     "actor.route"
+   @@ fun () ->
+   List.iter
+     (fun op ->
+       let u = match op with Book u | Read_seat u -> u in
+       Actor.Runtime.post rt ~key:u.Travel.flight (fun g -> apply g op))
+     ops;
+   (* Deferred assignments ground at the end, on their owners. *)
+   List.iter
+     (fun f ->
+       Actor.Runtime.post rt ~key:f (fun g ->
+           match g.g_qdb with
+           | Some qdb -> ignore (Qdb.ground_all qdb)
+           | None -> ()))
+     flights;
+   Actor.Runtime.drain rt);
   let total_time_s = Obs.Mclock.elapsed_s start in
   (* Merge on the driver, in flight order — safe after [drain] (every
      actor is parked, and the barrier round-trip ordered our reads). *)

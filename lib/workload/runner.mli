@@ -43,21 +43,6 @@ val run : engine -> spec -> outcome
 (** Execute the stream; for the quantum engine, any transaction still
     pending at the end is grounded before coordination is measured. *)
 
-val run_sharded :
-  ?pool:Par.Pool.t ->
-  ?collect:(flight:int -> Relational.Database.t -> unit) ->
-  engine ->
-  spec ->
-  outcome
-(** Figure-7 domain-parallel execution: the same global stream as {!run}
-    (same seed, same PRNG consumption) split by flight — flights are
-    independent partitions by construction — with each shard on a private
-    store + engine, run across [pool]'s domains when given.  Admission
-    outcomes, groundings and coordination are identical at any pool size.
-    [collect] is invoked on the calling thread, per flight in ascending
-    order, with the shard's final database.  [cumulative_ms] is empty and
-    [max_pending] is the per-shard max. *)
-
 type actor_report = {
   actors_requested : int;
   actors_live : int;  (** after the hardware clamp *)
@@ -73,16 +58,19 @@ val run_actors :
   engine ->
   spec ->
   outcome * actor_report
-(** Shared-nothing actor execution: one long-lived domain owns each
-    flight group end-to-end (store, engine, admission, grounding, WAL),
-    and the driver routes the global stream op by op through bounded
-    mailboxes — no per-flight pool jobs, no centralized queue wait.
-    Same stream and PRNG consumption as {!run_sharded}; per-owner FIFO
-    preserves per-flight order, so admission outcomes are bit-identical
-    to {!run_sharded} and across actor counts.  [clamp] (default true)
-    limits spawned domains to the host's recommended parallelism; the
-    report records requested vs live actors and their summed busy
-    time. *)
+(** Figure-7 parallel execution: flights are independent partitions by
+    construction, so each flight group gets a private store + engine,
+    owned end-to-end (admission, grounding, WAL) by one long-lived actor
+    domain, and the driver routes the global stream op by op through
+    bounded mailboxes — no centralized queue wait.  Same stream and PRNG
+    consumption as {!run}; per-owner FIFO preserves per-flight order, so
+    admission outcomes and coordination match {!run} and are identical
+    across actor counts.  [collect] is invoked on the calling thread, per
+    flight in ascending order, with the group's final database.
+    [cumulative_ms] is empty and [max_pending] is the per-group max.
+    [clamp] (default true) limits spawned domains to the host's
+    recommended parallelism; the report records requested vs live actors
+    and their summed busy time. *)
 
 val metrics_sink : Quantum.Metrics.t
 (** Engine metrics merged across every quantum run in this process —

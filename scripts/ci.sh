@@ -15,21 +15,18 @@ echo "== crash-monkey smoke =="
 # subcommand exits 1 on any recovery-invariant violation.
 dune exec bin/qdb_cli.exe -- crashmonkey --cycles 200 --seed 7
 
-echo "== crash-monkey under domain pool =="
-# Same contract with every cycle's cache-refill fan-out on a 2-domain
-# pool: WAL ordering and recovery must not care where solver work ran.
-dune exec bin/qdb_cli.exe -- crashmonkey --cycles 50 --seed 7 --domains 2
-
 echo "== crash-monkey actor-routed =="
 # Same contract with every post-fixture engine call round-tripping
 # through an owning actor on a real spawned domain: the injected crash
 # must propagate across the domain boundary and recovery must hold.
+# The engine also refills its cache after every commit (capacity 3), so
+# crashes land between refills too.
 dune exec bin/qdb_cli.exe -- crashmonkey --cycles 50 --seed 7 --actors 2
 
 echo "== admission sweep (incremental vs from-scratch) =="
 # Pending-depth sweep at k in {5,10,20,40}, each with delta composition
 # on and off; the bench itself exits non-zero when accept/reject
-# outcomes diverge between the modes or across 1/2/4-domain pools.
+# outcomes diverge between the modes.
 # Runs before the micro smoke so the final metrics.json carries the
 # micro gauges the telemetry check expects.
 rm -f results/BENCH_admission.json
@@ -61,10 +58,11 @@ echo "== contention regression gate =="
 dune exec bin/qdb_cli.exe -- bench diff BENCH_contention.json results/BENCH_contention.json --gate 25
 
 echo "== chaos (engine-wide fault injection) =="
-# 200 deterministic chaos cycles, each replayed at 1, 2 and 4 domains:
-# squeezed-governor admissions, poisoned refill/recheck fan-out jobs,
-# bit-identical event traces across pool sizes, invariant intact after
-# every cycle.  The subcommand exits 1 on any violation.
+# 200 deterministic chaos cycles, each run inline and replayed through
+# 1, 2 and 4 unclamped actors: squeezed-governor admissions, poisoned
+# refill/recheck jobs, bit-identical event traces whichever domain runs
+# the engine, invariant intact after every cycle.  The subcommand exits
+# 1 on any violation.
 dune exec bin/qdb_cli.exe -- chaos --cycles 200 --seed 1234
 
 echo "== rejection-path smoke =="
@@ -93,15 +91,15 @@ echo "== bench smoke (micro) =="
 rm -f results/metrics.json
 dune exec bench/main.exe -- --only micro
 
-echo "== scaling smoke (actor mode, --domains 1,2) =="
-# The committed-baseline workload (10 flights x 150 seats) in actor mode
-# at 1 and 2 requested domains: asserts identical admission outcomes
+echo "== scaling smoke (--domains 1,2) =="
+# The committed-baseline workload (10 flights x 150 seats) on partition
+# actors at 1 and 2 requested domains: asserts identical admission outcomes
 # across actor counts and real rejections/overloads on the contended
 # companion points (the scaling subcommand exits non-zero on
 # divergence).  On failure, a per-phase profile of the same workload is
 # captured so the CI artifact shows where admission time went.
 rm -f results/BENCH_scaling.json
-dune exec bin/qdb_cli.exe -- scaling --mode actor --domains 1,2 --out results/BENCH_scaling.json \
+dune exec bin/qdb_cli.exe -- scaling --domains 1,2 --out results/BENCH_scaling.json \
   || { mkdir -p results; \
        dune exec bin/qdb_cli.exe -- profile --top 10 > results/scaling_failure_profile.txt 2>&1 || true; \
        exit 1; }
@@ -109,8 +107,11 @@ dune exec bin/qdb_cli.exe -- scaling --mode actor --domains 1,2 --out results/BE
 echo "== scaling regression gate (no-slowdown) =="
 # Same comparator as the admission gate.  Schema v3 additionally gates:
 # speedup_vs_1 >= 0.90 at every point (more domains may never slow
-# admission down — the pathology this PR removed), queue_wait < 5% of
-# wall, per-phase attribution >= 95% of measured actor busy time, and
+# admission down — the pathology of the retired domain pool),
+# queue_wait < 5% of wall (nothing records queue wait since the pool
+# went, so this bound holds trivially until actor mailbox wait is
+# recorded there), per-phase attribution >= 95% of measured actor busy
+# time, and
 # real rejected/Overloaded outcomes on the contended companion series.
 dune exec bin/qdb_cli.exe -- bench diff BENCH_scaling.json results/BENCH_scaling.json --gate 25 \
   || { mkdir -p results; \
@@ -135,7 +136,6 @@ echo "== crash-monkey server mode (acked implies durable) =="
 # buffer; crashes arm at PRNG-chosen syncs.  Every acked admission must
 # survive WAL replay; un-acked ones may vanish but never half-apply.
 dune exec bin/qdb_cli.exe -- crashmonkey --server --cycles 30 --seed 7
-dune exec bin/qdb_cli.exe -- crashmonkey --server --cycles 15 --seed 7 --domains 2
 
 echo "== server bench (group commit + admission latency) =="
 # Loopback open-loop bench on a file-backed WAL, run twice with the same

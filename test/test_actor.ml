@@ -315,17 +315,22 @@ let test_coordinate_single_owner_fast_path () =
 
 (* -- Crash monkey with actor-routed engine calls ----------------------------- *)
 
+(* Actor mode also refills the cache after every commit, so crashes land
+   between refills; every call is a synchronous round-trip, so the
+   summary replays identically from the seed. *)
 let test_crash_monkey_actor_mode () =
   let s = Workload.Crash_monkey.run ~cycles:15 ~seed:4242 ~actors:2 () in
   Alcotest.(check int) "cycles ran" 15 s.Workload.Crash_monkey.cycles;
   Alcotest.(check bool) "crashes propagated across the domain boundary" true
     (s.Workload.Crash_monkey.crashes > 0);
-  match s.Workload.Crash_monkey.violations with
-  | [] -> ()
-  | (cycle, what) :: _ ->
-    Alcotest.fail (Printf.sprintf "recovery violation in cycle %d: %s" cycle what)
+  (match s.Workload.Crash_monkey.violations with
+   | [] -> ()
+   | (cycle, what) :: _ ->
+     Alcotest.fail (Printf.sprintf "recovery violation in cycle %d: %s" cycle what));
+  Alcotest.(check bool) "identical summary on replay" true
+    (s = Workload.Crash_monkey.run ~cycles:15 ~seed:4242 ~actors:2 ())
 
-(* -- Outcome identity: 1 actor, N actors, sharded runner --------------------- *)
+(* -- Outcome identity: 1 actor, N actors, one inline engine ------------------ *)
 
 let test_outcome_identity () =
   let spec =
@@ -341,7 +346,7 @@ let test_outcome_identity () =
   let fingerprint (o : Runner.outcome) =
     (o.Runner.committed, o.Runner.rejected, o.Runner.coordinated, o.Runner.max_possible)
   in
-  let reference = fingerprint (Runner.run_sharded engine spec) in
+  let reference = fingerprint (Runner.run engine spec) in
   List.iter
     (fun actors ->
       let o, report = Runner.run_actors ~clamp:false ~actors engine spec in
@@ -374,6 +379,6 @@ let suite =
       test_coordinate_single_owner_fast_path;
     Alcotest.test_case "crash monkey: actor-routed engine" `Quick
       test_crash_monkey_actor_mode;
-    Alcotest.test_case "outcome identity: 1 vs 4 actors vs sharded" `Quick
+    Alcotest.test_case "outcome identity: 1 vs 4 actors vs Runner.run" `Quick
       test_outcome_identity;
   ]

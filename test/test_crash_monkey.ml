@@ -32,8 +32,8 @@ let test_deterministic () =
 
 (* -- Server mode: the ack-after-fsync contract over real sockets ---------- *)
 
-let test_server_contract domains () =
-  let s = Crash_monkey.run_server ~cycles:12 ~seed:77 ~domains () in
+let test_server_contract () =
+  let s = Crash_monkey.run_server ~cycles:12 ~seed:77 () in
   Alcotest.(check int) "all cycles ran" 12 s.Crash_monkey.srv_cycles;
   Alcotest.(check bool) "crashes actually happened" true (s.Crash_monkey.srv_crashes > 6);
   Alcotest.(check bool) "admissions were acked" true (s.Crash_monkey.srv_acked > 0);
@@ -46,7 +46,7 @@ let test_server_volatility_bites () =
   (* The volatile write buffer must make some un-acked submission vanish
      across the cycles — otherwise the acked/un-acked distinction was
      never at stake and the contract is vacuous. *)
-  let s = Crash_monkey.run_server ~cycles:12 ~seed:77 ~domains:1 () in
+  let s = Crash_monkey.run_server ~cycles:12 ~seed:77 () in
   Alcotest.(check bool) "un-acked submissions vanished" true
     (s.Crash_monkey.srv_lost_unacked > 0)
 
@@ -54,11 +54,6 @@ let suite =
   [ Alcotest.test_case "no violations over 60 cycles" `Quick test_no_violations;
     Alcotest.test_case "all damage modes exercised" `Quick test_all_damage_modes_exercised;
     Alcotest.test_case "deterministic from seed" `Quick test_deterministic;
-    Alcotest.test_case "server: acked admissions survive (1 domain)" `Quick
-      (test_server_contract 1);
-    Alcotest.test_case "server: acked admissions survive (2 domains)" `Quick
-      (test_server_contract 2);
-    Alcotest.test_case "server: acked admissions survive (4 domains)" `Quick
-      (test_server_contract 4);
+    Alcotest.test_case "server: acked admissions survive" `Quick test_server_contract;
     Alcotest.test_case "server: un-acked losses occur" `Quick test_server_volatility_bites;
   ]

@@ -19,9 +19,9 @@ module Chaos = Workload.Chaos
 
 let geometry rows = { Flights.flights = 1; rows_per_flight = rows; dest = "LA" }
 
-let fresh_qdb ?config ?pool ?(rows = 2) () =
+let fresh_qdb ?config ?(rows = 2) () =
   let store = Flights.fresh_store (geometry rows) in
-  Qdb.create ?config ?pool store
+  Qdb.create ?config store
 
 let user name = { Travel.name; partner = "-"; flight = 0 }
 let submit ?governor qdb name = Qdb.submit ?governor qdb (Travel.plain_txn (user name))
@@ -301,7 +301,7 @@ let test_latency_split_by_outcome () =
 
 let test_chaos_cycles_clean () =
   let s = Chaos.run ~cycles:4 ~seed:97 () in
-  (* 3 per cycle: 1-vs-2 domains, 1-vs-4 domains, inline-vs-actor. *)
+  (* 3 per cycle: inline vs 1, 2 and 4 actors. *)
   Alcotest.(check int) "determinism checks ran" 12 s.Chaos.determinism_checks;
   Alcotest.(check bool) "submissions happened" true (s.Chaos.submissions > 0);
   (match s.Chaos.violations with
@@ -312,14 +312,11 @@ let test_chaos_cycles_clean () =
   Alcotest.(check bool) "summary replays identically" true (s = s')
 
 let test_chaos_cycle_deterministic_across_domains () =
-  let pool = Par.Pool.create ~domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let a = Chaos.run_cycle ~seed:424242 () in
-      let b = Chaos.run_cycle ~pool ~seed:424242 () in
-      Alcotest.(check (list string)) "event traces identical" a.Chaos.events b.Chaos.events;
-      Alcotest.(check (list string)) "violations identical (and empty)" [] a.Chaos.violations)
+  let a = Chaos.run_cycle ~seed:424242 () in
+  let b = Chaos.run_cycle ~actors:2 ~seed:424242 () in
+  Alcotest.(check (list string)) "event traces identical" a.Chaos.events b.Chaos.events;
+  Alcotest.(check (list string)) "violations identical (and empty)" [] a.Chaos.violations;
+  Alcotest.(check (list string)) "actor run clean" [] b.Chaos.violations
 
 let suite =
   [ Alcotest.test_case "overloaded is not rejected" `Quick test_overloaded_not_rejected;
@@ -339,6 +336,6 @@ let suite =
     Alcotest.test_case "choose exhaustion rejects" `Quick test_choose_exhaustion_rejects;
     Alcotest.test_case "latency split by outcome" `Quick test_latency_split_by_outcome;
     Alcotest.test_case "chaos: short run clean + replayable" `Slow test_chaos_cycles_clean;
-    Alcotest.test_case "chaos: cycle identical with and without pool" `Slow
+    Alcotest.test_case "chaos: cycle identical with and without actors" `Slow
       test_chaos_cycle_deterministic_across_domains;
   ]

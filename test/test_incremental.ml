@@ -1,6 +1,6 @@
 (* Tests for the incremental-admission path: randomized equivalence of
    delta composition with from-scratch recomposition, outcome identity of
-   the [incremental] ablation (alone and under a domain pool), formula
+   the [incremental] ablation, formula
    interning, table versioning for the estimate cache, and backtrack
    accounting in the all-solutions enumerator. *)
 
@@ -36,10 +36,10 @@ let gen_trace rng len =
 (* Replay a trace on a fresh engine; the outcome string is a full
    observable transcript (commit/reject per submit, grounding counts), so
    equality of transcripts is outcome identity. *)
-let apply_trace ?pool ~incremental trace =
+let apply_trace ~incremental trace =
   let store = Flights.fresh_store geometry in
   let config = { Qdb.default_config with Qdb.k = 6; cache_capacity = 2; incremental } in
-  let qdb = Qdb.create ~config ?pool store in
+  let qdb = Qdb.create ~config store in
   let outcomes =
     List.map
       (fun op ->
@@ -73,24 +73,16 @@ let test_trace_equivalence () =
   done
 
 (* Seeded-then-fallback admission must accept and reject exactly like the
-   from-scratch ablation, and a 2-domain pool must not change either. *)
+   from-scratch ablation. *)
 let test_ablation_outcome_identity () =
-  let pool = Par.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      for seed = 201 to 240 do
-        let trace = gen_trace (Prng.create seed) 12 in
-        let _, inc = apply_trace ~incremental:true trace in
-        let _, scratch = apply_trace ~incremental:false trace in
-        let _, pooled = apply_trace ~pool ~incremental:true trace in
-        Alcotest.(check (list string))
-          (Printf.sprintf "incremental = from-scratch (seed %d)" seed)
-          scratch inc;
-        Alcotest.(check (list string))
-          (Printf.sprintf "2-domain pool identical (seed %d)" seed)
-          inc pooled
-      done)
+  for seed = 201 to 240 do
+    let trace = gen_trace (Prng.create seed) 12 in
+    let _, inc = apply_trace ~incremental:true trace in
+    let _, scratch = apply_trace ~incremental:false trace in
+    Alcotest.(check (list string))
+      (Printf.sprintf "incremental = from-scratch (seed %d)" seed)
+      scratch inc
+  done
 
 (* Rejections must leave the chunk cache untouched: fill a 3-seat flight,
    bounce a fourth booking off it, and re-check equivalence. *)
@@ -220,7 +212,7 @@ let test_solutions_backtracks () =
 let suite =
   [ Alcotest.test_case "200 traces: incremental ⇔ from-scratch bodies" `Slow
       test_trace_equivalence;
-    Alcotest.test_case "ablation + 2-domain pool: identical outcomes" `Slow
+    Alcotest.test_case "ablation: same outcomes" `Slow
       test_ablation_outcome_identity;
     Alcotest.test_case "rejection leaves the chunk cache untouched" `Quick
       test_rejection_leaves_body;

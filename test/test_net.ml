@@ -228,9 +228,9 @@ let direct_run () =
   ignore (Qdb.ground_all qdb);
   (verdicts, Database.copy (Qdb.db qdb))
 
-let loopback_run domains =
+let loopback_run () =
   let store = Flights.fresh_store geometry in
-  let config = { Server.default_config with Server.domains; max_batch = 8 } in
+  let config = { Server.default_config with Server.max_batch = 8 } in
   let server = Server.start ~config ~store (Server.Tcp ("127.0.0.1", 0)) in
   let addr = Server.address server in
   let per_flight = Array.make geometry.Flights.flights [] in
@@ -262,9 +262,9 @@ let loopback_run domains =
   Alcotest.(check bool) "server stopped cleanly" true (Server.failure server = None);
   (Array.to_list per_flight |> List.concat, db)
 
-let test_loopback_identity domains () =
+let test_loopback_identity () =
   let direct_verdicts, direct_db = direct_run () in
-  let server_verdicts, server_db = loopback_run domains in
+  let server_verdicts, server_db = loopback_run () in
   List.iter
     (fun (name, kind) ->
       match List.assoc_opt name server_verdicts with
@@ -540,12 +540,7 @@ let suite =
     Alcotest.test_case "unknown tags rejected" `Quick test_unknown_tag_rejected;
     Alcotest.test_case "trailing payload bytes rejected" `Quick test_trailing_bytes_rejected;
     Alcotest.test_case "overlong inner strings rejected" `Quick test_truncated_string_rejected;
-    Alcotest.test_case "loopback sessions = direct engine (1 domain)" `Quick
-      (test_loopback_identity 1);
-    Alcotest.test_case "loopback sessions = direct engine (2 domains)" `Quick
-      (test_loopback_identity 2);
-    Alcotest.test_case "loopback sessions = direct engine (4 domains)" `Quick
-      (test_loopback_identity 4);
+    Alcotest.test_case "loopback sessions = direct engine" `Quick test_loopback_identity;
     Alcotest.test_case "per-request failures stay on their session" `Quick
       test_loopback_errors;
     Alcotest.test_case "stalled reader only stalls itself" `Quick

@@ -1,7 +1,6 @@
-(* Tests for the domain pool and everything the engine runs on it:
-   deterministic map semantics, the split refill/recheck cache phases,
-   the O(1) pending bookkeeping, sharded-workload determinism across
-   pool sizes, and crash-monkey under a pool. *)
+(* Tests for the parallel building blocks: the split refill/recheck
+   cache phases, the O(1) pending bookkeeping, per-flight workload
+   determinism across domain counts, and mailbox close semantics. *)
 
 module Value = Relational.Value
 module Tuple = Relational.Tuple
@@ -14,83 +13,6 @@ module Runner = Workload.Runner
 module Travel = Workload.Travel
 module Flights = Workload.Flights
 open Logic
-
-(* -- Pool.map ---------------------------------------------------------------- *)
-
-let with_pool domains f =
-  let pool = Par.Pool.create ~domains () in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
-
-let test_map_order () =
-  List.iter
-    (fun domains ->
-      with_pool domains @@ fun pool ->
-      let items = List.init 50 Fun.id in
-      let got = Par.Pool.map pool (fun i -> i * i) items in
-      Alcotest.(check (list int))
-        (Printf.sprintf "input order preserved at %d domain(s)" domains)
-        (List.map (fun i -> i * i) items)
-        got)
-    [ 1; 2; 4 ]
-
-let test_map_empty_and_singleton () =
-  with_pool 3 @@ fun pool ->
-  Alcotest.(check (list int)) "empty" [] (Par.Pool.map pool (fun i -> i) []);
-  Alcotest.(check (list string)) "singleton" [ "7" ] (Par.Pool.map pool string_of_int [ 7 ])
-
-let test_map_exception_first_by_index () =
-  List.iter
-    (fun domains ->
-      with_pool domains @@ fun pool ->
-      match
-        Par.Pool.map pool
-          (fun i -> if i mod 2 = 1 then failwith (Printf.sprintf "boom %d" i) else i)
-          (List.init 8 Fun.id)
-      with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-        (* Jobs 1,3,5,7 all fail; the sequential stop point is job 1. *)
-        Alcotest.(check string)
-          (Printf.sprintf "lowest-index failure at %d domain(s)" domains)
-          "boom 1" msg)
-    [ 1; 2; 4 ]
-
-(* A poisoned job must not wedge the pool: the raising map re-raises on
-   the caller, and the SAME pool then serves further maps with ordered
-   results — the property the engine's fault-absorption paths (refill
-   abandonment, write-recheck abort) rely on. *)
-let test_pool_usable_after_poisoned_job () =
-  List.iter
-    (fun domains ->
-      with_pool domains @@ fun pool ->
-      (try
-         ignore
-           (Par.Pool.map pool (fun i -> if i = 3 then failwith "poisoned" else i)
-              (List.init 6 Fun.id))
-       with Failure _ -> ());
-      let got = Par.Pool.map pool (fun i -> i * 10) (List.init 12 Fun.id) in
-      Alcotest.(check (list int))
-        (Printf.sprintf "ordered results after poison at %d domain(s)" domains)
-        (List.init 12 (fun i -> i * 10))
-        got;
-      (* Repeated poison rounds do not accumulate damage. *)
-      (try ignore (Par.Pool.map pool (fun _ -> failwith "again") [ 1; 2 ])
-       with Failure _ -> ());
-      Alcotest.(check (list int))
-        (Printf.sprintf "still alive after second poison at %d domain(s)" domains)
-        [ 2; 4; 6 ]
-        (Par.Pool.map pool (fun i -> i * 2) [ 1; 2; 3 ]))
-    [ 1; 2; 4 ]
-
-let test_pool_reusable_after_map () =
-  with_pool 2 @@ fun pool ->
-  Alcotest.(check int) "size" 2 (Par.Pool.size pool);
-  for round = 1 to 5 do
-    let got = Par.Pool.map pool succ (List.init 10 Fun.id) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "round %d" round)
-      (List.init 10 succ) got
-  done
 
 (* -- Cache refill: split phases, over-ask fix, dedup ------------------------- *)
 
@@ -246,7 +168,7 @@ let test_pending_bookkeeping () =
   ignore (Qdb.ground_all qdb);
   Alcotest.(check int) "empty after ground_all" 0 (Qdb.pending_count qdb)
 
-(* -- Sharded-workload determinism across pool sizes --------------------------- *)
+(* -- Per-flight (sharded) workload determinism across domain counts ------------ *)
 
 let shard_spec =
   {
@@ -262,12 +184,18 @@ let collect_dbs () =
   let collect ~flight db = dbs := (flight, Database.copy db) :: !dbs in
   (dbs, collect)
 
+(* The per-flight run on partition actors: one private engine per flight,
+   so the same stream gives the same per-flight databases on one actor
+   (inline) and on four spawned domains. *)
 let test_sharded_determinism_across_domains () =
   let engine = Runner.Quantum_engine { Qdb.default_config with Qdb.cache_capacity = 2 } in
-  let dbs1, collect1 = collect_dbs () in
-  let o1 = with_pool 1 (fun pool -> Runner.run_sharded ~pool ~collect:collect1 engine shard_spec) in
-  let dbs4, collect4 = collect_dbs () in
-  let o4 = with_pool 4 (fun pool -> Runner.run_sharded ~pool ~collect:collect4 engine shard_spec) in
+  let run actors =
+    let dbs, collect = collect_dbs () in
+    let o, _ = Runner.run_actors ~clamp:false ~collect ~actors engine shard_spec in
+    (o, dbs)
+  in
+  let o1, dbs1 = run 1 in
+  let o4, dbs4 = run 4 in
   Alcotest.(check int) "committed identical" o1.Runner.committed o4.Runner.committed;
   Alcotest.(check int) "rejected identical" o1.Runner.rejected o4.Runner.rejected;
   Alcotest.(check (float 1e-9)) "coordination identical" o1.Runner.coordination_pct
@@ -280,18 +208,6 @@ let test_sharded_determinism_across_domains () =
         (Printf.sprintf "flight %d database identical" f1)
         true (Database.equal db1 db4))
     (sort dbs1) (sort dbs4)
-
-let test_sharded_matches_unsharded_outcomes () =
-  (* Flights are independent partitions by construction, so the global
-     interleaved run and the per-flight sharded run must admit and
-     coordinate identically. *)
-  let engine = Runner.Quantum_engine Qdb.default_config in
-  let global = Runner.run engine shard_spec in
-  let sharded = with_pool 2 (fun pool -> Runner.run_sharded ~pool engine shard_spec) in
-  Alcotest.(check int) "committed" global.Runner.committed sharded.Runner.committed;
-  Alcotest.(check int) "rejected" global.Runner.rejected sharded.Runner.rejected;
-  Alcotest.(check (float 1e-9)) "coordination" global.Runner.coordination_pct
-    sharded.Runner.coordination_pct
 
 (* -- Mailbox close semantics across domains ----------------------------------
    The shutdown handshake the network front door leans on: senders
@@ -379,30 +295,8 @@ let test_mailbox_recv_batch () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-(* -- Crash monkey under a pool ------------------------------------------------ *)
-
-let test_crash_monkey_under_pool () =
-  let s = with_pool 2 (fun pool -> Workload.Crash_monkey.run ~cycles:12 ~seed:424242 ~pool ()) in
-  Alcotest.(check int) "all cycles ran" 12 s.Workload.Crash_monkey.cycles;
-  Alcotest.(check (list (pair int string))) "no recovery violations" []
-    s.Workload.Crash_monkey.violations
-
-let test_crash_monkey_pool_deterministic () =
-  let run () =
-    with_pool 2 (fun pool -> Workload.Crash_monkey.run ~cycles:8 ~seed:1234 ~pool ())
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "identical summaries across runs" true (a = b)
-
 let suite =
-  [ Alcotest.test_case "pool: map preserves input order" `Quick test_map_order;
-    Alcotest.test_case "pool: empty and singleton inline" `Quick test_map_empty_and_singleton;
-    Alcotest.test_case "pool: lowest-index exception wins" `Quick
-      test_map_exception_first_by_index;
-    Alcotest.test_case "pool: usable after a poisoned job" `Quick
-      test_pool_usable_after_poisoned_job;
-    Alcotest.test_case "pool: reusable across rounds" `Quick test_pool_reusable_after_map;
-    Alcotest.test_case "refill: tops up, dedups, satisfies" `Quick
+  [ Alcotest.test_case "refill: tops up, dedups, satisfies" `Quick
       test_refill_tops_up_and_dedups;
     Alcotest.test_case "refill: scarce solutions not double-counted" `Quick
       test_refill_fewer_solutions_than_capacity;
@@ -416,16 +310,10 @@ let suite =
       test_pending_bookkeeping;
     Alcotest.test_case "sharded run identical at 1 vs 4 domains" `Quick
       test_sharded_determinism_across_domains;
-    Alcotest.test_case "sharded run matches unsharded outcomes" `Quick
-      test_sharded_matches_unsharded_outcomes;
     Alcotest.test_case "mailbox: blocked senders wake on close" `Quick
       test_mailbox_blocked_senders_wake_on_close;
     Alcotest.test_case "mailbox: drains before None" `Quick test_mailbox_drains_before_none;
     Alcotest.test_case "mailbox: blocked receiver wakes on close" `Quick
       test_mailbox_blocked_receiver_wakes_on_close;
     Alcotest.test_case "mailbox: recv_batch order, cap, close" `Quick test_mailbox_recv_batch;
-    Alcotest.test_case "crash monkey under pool: zero violations" `Slow
-      test_crash_monkey_under_pool;
-    Alcotest.test_case "crash monkey under pool: deterministic" `Slow
-      test_crash_monkey_pool_deterministic;
   ]

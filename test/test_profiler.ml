@@ -1,5 +1,5 @@
 (* Tests for the coordination profiler: cross-domain span-context
-   propagation through the pool, the per-admission flight recorder
+   propagation through actor mailboxes, the per-admission flight recorder
    (ring wraparound, slow dumps, behaviour invariance), the rejection
    observability harness, and the p999 histogram exports. *)
 
@@ -38,87 +38,55 @@ let str j =
 
 (* -- Cross-domain causal tracing ---------------------------------------------- *)
 
-(* Both jobs must be in flight at once, which forces them onto distinct
-   domains (the caller helps drain, so a 2-domain pool has exactly two
-   execution contexts).  Rendezvous, not sleep: deterministic. *)
-let barrier n =
-  let m = Mutex.create () and c = Condition.create () in
-  let arrived = ref 0 in
-  fun () ->
-    Mutex.lock m;
-    incr arrived;
-    if !arrived >= n then Condition.broadcast c
-    else while !arrived < n do Condition.wait c m done;
-    Mutex.unlock m
-
+(* Two unclamped actors are two spawned domains; keys 0 and 1 route to
+   different ones.  Both tasks are sent from inside the driver's "outer"
+   span and must parent to it on their own domain tracks. *)
 let test_ctx_propagation_two_domains () =
   with_tracing @@ fun () ->
-  let pool = Par.Pool.create ~domains:2 () in
-  let sync = barrier 2 in
+  let rt = Actor.Runtime.create ~clamp:false ~actors:2 ~make:(fun _ -> ()) () in
   Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
+    ~finally:(fun () -> Actor.Runtime.shutdown rt)
     (fun () ->
-      ignore
-        (Trace.span ~cat:"test" "outer" (fun () ->
-             Par.Pool.map pool
-               (fun i ->
-                 sync ();
-                 Trace.span ~cat:"test" "jobwork" (fun () -> i * 10))
-               [ 1; 2 ])));
+      Trace.span ~cat:"test" "outer" (fun () ->
+          Actor.Runtime.post rt ~key:0 (fun () -> Trace.span ~cat:"test" "postwork" ignore);
+          Actor.Runtime.call rt ~key:1 (fun () -> Trace.span ~cat:"test" "callwork" ignore);
+          Actor.Runtime.drain rt));
   let evs = Trace.events () in
-  let spans name = List.filter (fun (e : Trace.event) -> e.Trace.name = name) evs in
   let one name =
-    match spans name with
+    match List.filter (fun (e : Trace.event) -> e.Trace.name = name) evs with
     | [ e ] -> e
     | l -> Alcotest.fail (Printf.sprintf "want exactly one %s span, got %d" name (List.length l))
   in
   let outer = one "outer" in
-  let fanout = one "pool.fanout" in
-  let jobs = spans "pool.job" in
-  let works = spans "jobwork" in
-  let waits = spans "pool.queue_wait" in
-  Alcotest.(check int) "two pool.job spans" 2 (List.length jobs);
-  Alcotest.(check int) "two jobwork spans" 2 (List.length works);
-  Alcotest.(check int) "two queue-wait spans" 2 (List.length waits);
-  (* Parent links: outer -> fanout -> job -> jobwork, queue waits under
-     the fanout — even for the job that ran on the worker domain. *)
-  Alcotest.(check int) "fanout parents to outer" outer.Trace.id fanout.Trace.parent;
-  List.iter
-    (fun (e : Trace.event) ->
-      Alcotest.(check int) "job parents to fanout" fanout.Trace.id e.Trace.parent)
-    (jobs @ waits);
-  List.iter
-    (fun (e : Trace.event) ->
-      Alcotest.(check bool) "jobwork parents to some pool.job" true
-        (List.exists (fun (j : Trace.event) -> j.Trace.id = e.Trace.parent) jobs))
-    works;
-  (* The barrier forced the two jobs onto distinct domains. *)
-  (match jobs with
-   | [ a; b ] ->
-     Alcotest.(check bool) "jobs on distinct domain tracks" true (a.Trace.tid <> b.Trace.tid)
-   | _ -> assert false);
+  let posted = one "postwork" and called = one "callwork" in
+  (* Parent links survive the hop, for both the post and the call path. *)
+  Alcotest.(check int) "posted task parents to outer" outer.Trace.id posted.Trace.parent;
+  Alcotest.(check int) "called task parents to outer" outer.Trace.id called.Trace.parent;
+  Alcotest.(check bool) "tasks on distinct domain tracks" true (posted.Trace.tid <> called.Trace.tid);
+  Alcotest.(check bool) "tasks off the driver's track" true
+    (posted.Trace.tid <> outer.Trace.tid && called.Trace.tid <> outer.Trace.tid);
   (* The Chrome export parses back, carries the causal args, and emits a
-     flow arrow for the cross-domain hop. *)
+     flow arrow for each cross-domain hop. *)
   let j = Json.of_string (Export.chrome_trace_string evs) in
   let exported = Json.to_list (mem "traceEvents" j) in
-  let fanout_json =
+  let posted_json =
     List.find
       (fun e ->
-        match Json.member "name" e with Some (Json.Str "pool.fanout") -> true | _ -> false)
+        match Json.member "name" e with Some (Json.Str "postwork") -> true | _ -> false)
       exported
   in
   Alcotest.(check (float 0.)) "span_id arg survives export"
-    (float_of_int fanout.Trace.id)
-    (num (mem "span_id" (mem "args" fanout_json)));
+    (float_of_int posted.Trace.id)
+    (num (mem "span_id" (mem "args" posted_json)));
   Alcotest.(check (float 0.)) "parent arg survives export"
     (float_of_int outer.Trace.id)
-    (num (mem "parent" (mem "args" fanout_json)));
+    (num (mem "parent" (mem "args" posted_json)));
   let flow ph =
     List.filter
       (fun e -> match Json.member "ph" e with Some (Json.Str p) -> p = ph | _ -> false)
       exported
   in
-  Alcotest.(check bool) "flow start emitted" true (flow "s" <> []);
+  Alcotest.(check int) "one flow start per hop" 2 (List.length (flow "s"));
   Alcotest.(check int) "flow starts and ends pair up" (List.length (flow "s"))
     (List.length (flow "f"))
 

@@ -8,8 +8,8 @@
      inert garbage) and across resplits and merges of the chunk
      boundaries;
    - 200 seeded workload traces: [Sat_backend] transcripts are
-     bit-identical to the backtracking engine's, alone and under 2- and
-     4-domain pools, in both the eager-DPLL and incremental-CDCL modes;
+     bit-identical to the backtracking engine's, in both the eager-DPLL
+     and incremental-CDCL modes, and with CDCL on an actor-routed engine;
    - governor: an expired deadline surfaces as [Overloaded] under the
      SAT backend, never as a semantic rejection;
    - crash monkey: 50 kill/recover cycles driving the CDCL session
@@ -159,25 +159,36 @@ let config backend ~incremental =
     incremental;
   }
 
-let apply_trace ?pool config trace =
-  let store = Flights.fresh_store geometry in
-  let qdb = Qdb.create ~config ?pool store in
-  List.map
-    (fun op ->
-      match op with
-      | Submit u ->
-        (match Qdb.submit qdb (Travel.plain_txn u) with
-         | Qdb.Committed id -> Printf.sprintf "c%d" id
-         | Qdb.Rejected _ -> "r"
-         | Qdb.Overloaded _ -> "o")
-      | Ground_nth n ->
-        (match Qdb.pending qdb with
-         | [] -> "g-"
-         | ps ->
-           let txn = List.nth ps (n mod List.length ps) in
-           Printf.sprintf "g%d" (List.length (Qdb.ground qdb txn.Rtxn.id)))
-      | Ground_all -> Printf.sprintf "G%d" (List.length (Qdb.ground_all qdb)))
-    trace
+let step qdb = function
+  | Submit u ->
+    (match Qdb.submit qdb (Travel.plain_txn u) with
+     | Qdb.Committed id -> Printf.sprintf "c%d" id
+     | Qdb.Rejected _ -> "r"
+     | Qdb.Overloaded _ -> "o")
+  | Ground_nth n ->
+    (match Qdb.pending qdb with
+     | [] -> "g-"
+     | ps ->
+       let txn = List.nth ps (n mod List.length ps) in
+       Printf.sprintf "g%d" (List.length (Qdb.ground qdb txn.Rtxn.id)))
+  | Ground_all -> Printf.sprintf "G%d" (List.length (Qdb.ground_all qdb))
+
+let apply_trace config trace =
+  let qdb = Qdb.create ~config (Flights.fresh_store geometry) in
+  List.map (step qdb) trace
+
+(* The same replay with the engine owned by an actor: born on the owning
+   actor's spawned domain (two unclamped actors), every step a round-trip
+   there. *)
+let apply_trace_on_actor config trace =
+  let rt =
+    Actor.Runtime.create ~clamp:false ~actors:2
+      ~make:(fun _ -> Qdb.create ~config (Flights.fresh_store geometry))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Actor.Runtime.shutdown rt)
+    (fun () -> List.map (fun op -> Actor.Runtime.call rt ~key:1 (fun qdb -> step qdb op)) trace)
 
 let search = config Qdb.Backtracking ~incremental:true
 let cdcl = config Qdb.Sat_backend ~incremental:true
@@ -201,28 +212,16 @@ let test_sat_trace_identity () =
         (apply_trace dpll trace)
   done
 
-(* The same identity must survive partition actors: 2- and 4-domain
-   pools submit through the shared-nothing admission path. *)
-let test_sat_trace_identity_pooled () =
-  let pool2 = Par.Pool.create ~domains:2 () in
-  let pool4 = Par.Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () ->
-      Par.Pool.shutdown pool2;
-      Par.Pool.shutdown pool4)
-    (fun () ->
-      for seed = 1 to 50 do
-        let trace = gen_trace (Prng.create seed) 12 in
-        let reference = apply_trace search trace in
-        Alcotest.(check (list string))
-          (Printf.sprintf "cdcl 2-domain pool identical (seed %d)" seed)
-          reference
-          (apply_trace ~pool:pool2 cdcl trace);
-        Alcotest.(check (list string))
-          (Printf.sprintf "cdcl 4-domain pool identical (seed %d)" seed)
-          reference
-          (apply_trace ~pool:pool4 cdcl trace)
-      done)
+(* The same identity must survive partition actors: the CDCL session
+   lives and admits on the owning actor's domain. *)
+let test_sat_trace_identity_actor () =
+  for seed = 1 to 50 do
+    let trace = gen_trace (Prng.create seed) 12 in
+    Alcotest.(check (list string))
+      (Printf.sprintf "cdcl on an actor identical (seed %d)" seed)
+      (apply_trace search trace)
+      (apply_trace_on_actor cdcl trace)
+  done
 
 (* -- Governor: budget blowups stay Overloaded -------------------------------- *)
 
@@ -256,8 +255,7 @@ let test_sat_crash_monkey () =
 let suite =
   [ QCheck_alcotest.to_alcotest prop_session_equisatisfiable;
     Alcotest.test_case "200 traces: sat backend = backtracking" `Slow test_sat_trace_identity;
-    Alcotest.test_case "2/4-domain pools: sat backend identical" `Slow
-      test_sat_trace_identity_pooled;
+    Alcotest.test_case "actor-routed: sat identical" `Slow test_sat_trace_identity_actor;
     Alcotest.test_case "expired deadline stays Overloaded under sat" `Quick
       test_sat_deadline_overloads;
     Alcotest.test_case "crash monkey: zero violations under sat" `Slow test_sat_crash_monkey;
